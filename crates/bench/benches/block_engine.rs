@@ -6,45 +6,45 @@
 //! the translation engines' contract (asserted at startup below, and
 //! gated by `perfcheck --blocks` / `perfcheck --traces`).
 
-use camo_bench::{blocks, traces};
+use camo_bench::perf::fig2_sample;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 const ITERS: u64 = 5_000;
 
+/// `(name, block_engine, trace_engine)` per engine, caches on in all.
+const ENGINES: [(&str, bool, bool); 3] = [
+    ("step_loop", false, false),
+    ("block_loop", true, false),
+    ("trace_loop", true, true),
+];
+
 fn bench(c: &mut Criterion) {
-    let off = blocks::hot_loop(ITERS, false);
-    let on = blocks::hot_loop(ITERS, true);
-    let traced = traces::hot_loop(ITERS, true);
-    assert_eq!(
-        (on.sample.cycles, on.sample.instructions),
-        (off.sample.cycles, off.sample.instructions),
-        "block engine must not change simulated counts"
-    );
-    assert_eq!(
-        (traced.sample.cycles, traced.sample.instructions),
-        (off.sample.cycles, off.sample.instructions),
-        "trace tier must not change simulated counts"
-    );
-    println!(
-        "fig2 hot loop: {} simulated insns; block cache {} hits / {} misses",
-        on.sample.instructions, on.block_hits, on.block_misses
-    );
-    println!(
-        "trace tier: {} hits / {} misses",
-        traced.trace_hits, traced.trace_misses
-    );
+    let step = fig2_sample(ITERS, true, false, false);
+    for (name, blocks, traces) in ENGINES {
+        let s = fig2_sample(ITERS, true, blocks, traces);
+        assert_eq!(
+            (s.cycles, s.instructions),
+            (step.cycles, step.instructions),
+            "{name} must not change simulated counts"
+        );
+        println!(
+            "{name}: {} simulated insns; block cache {} hits / {} misses; \
+             trace tier {} hits / {} misses",
+            s.instructions,
+            s.stats.block_hits,
+            s.stats.block_misses,
+            s.stats.trace_hits,
+            s.stats.trace_misses
+        );
+    }
 
     let mut group = c.benchmark_group("block_engine");
-    group.bench_function("step_loop", |b| {
-        b.iter(|| black_box(blocks::hot_loop(ITERS, false)))
-    });
-    group.bench_function("block_loop", |b| {
-        b.iter(|| black_box(blocks::hot_loop(ITERS, true)))
-    });
-    group.bench_function("trace_loop", |b| {
-        b.iter(|| black_box(traces::hot_loop(ITERS, true)))
-    });
+    for (name, blocks, traces) in ENGINES {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(fig2_sample(ITERS, true, blocks, traces)))
+        });
+    }
     group.finish();
 }
 

@@ -378,7 +378,7 @@ impl<'p> ShardTask<'p> {
 }
 
 /// Runs a task to completion on the calling thread (the sequential
-/// oracle and the legacy 1:1 thread-per-shard baseline both use this).
+/// oracle).
 pub(crate) fn run_to_completion(mut task: ShardTask<'_>) -> Result<FleetShardReport, KernelError> {
     loop {
         match task.run_slice()? {
@@ -431,7 +431,16 @@ pub(crate) fn run_pool(plan: &FleetPlan, workers: usize) -> PoolOutcome {
             scope.spawn(move || {
                 let mut idle_spins = 0u32;
                 while remaining.load(Ordering::Acquire) > 0 {
-                    let task = queues[me].lock().unwrap().pop_back().or_else(|| {
+                    // Pop our own deque in a statement of its own: a lock
+                    // guard lives until the end of its `let`, so chaining
+                    // the steal onto it would hold our deque while locking
+                    // a victim's, and two idle workers stealing from each
+                    // other would deadlock (ABBA).
+                    let own = queues[me]
+                        .lock()
+                        .expect("a worker panicked holding its deque")
+                        .pop_back();
+                    let task = own.or_else(|| {
                         (1..workers).find_map(|offset| {
                             let victim = (me + offset) % workers;
                             let stolen = queues[victim].lock().unwrap().pop_front();
