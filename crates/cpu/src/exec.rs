@@ -910,6 +910,9 @@ impl Cpu {
             let mut executed = body_len;
             let mut store_abort = false;
             let mut abort: Option<Result<Step, CpuError>> = None;
+            // Set when the block retired whole and its own SVC/BRK/ERET
+            // terminator is what ends the call.
+            let mut term_ended = false;
             for (i, insn) in entry.body.iter().enumerate() {
                 let insn_pc = self.state.pc;
                 match self.execute(mem, *insn, insn_pc, &ctx) {
@@ -948,7 +951,10 @@ impl Cpu {
                     let insn_pc = self.state.pc;
                     match self.execute(mem, term, insn_pc, &ctx) {
                         Ok(Step::Executed) => {}
-                        other => abort = Some(other),
+                        other => {
+                            term_ended = true;
+                            abort = Some(other);
+                        }
                     }
                     acc_insns += 1;
                 }
@@ -966,15 +972,18 @@ impl Cpu {
             let has_term = entry.terminator.is_some();
             self.block_cache[slot] = Some(entry);
             if let Some(rec) = self.trace_recorder.as_mut() {
-                if abort.is_none() && !store_abort {
+                if (abort.is_none() || term_ended) && !store_abort {
                     // Cleanly-retired block: extend the recording with
-                    // the chain edge just observed.
+                    // the chain edge just observed. A block closed by the
+                    // SVC/BRK/ERET that ended the call is kept too: its
+                    // terminator runs through the step semantics inside
+                    // the trace and ends the call there exactly as here,
+                    // so kernel entry and exit finish inside their traces.
                     rec.record(pa, pc, has_term, self.state.pc);
-                } else {
-                    // Fault, upcall or self-modifying store — events a
-                    // trace cannot contain. Keep the prefix: a chain
-                    // that *ends* in SVC/ERET every time (kernel entry/
-                    // exit) still deserves its straight-line trace.
+                }
+                if abort.is_some() || store_abort {
+                    // Fault, upcall or self-modifying store — nothing
+                    // after it can join this trace. Keep the prefix.
                     rec.finish();
                 }
             }

@@ -24,7 +24,12 @@
 //! Recording stops at [`MAX_TRACE_BLOCKS`], when the chain revisits a
 //! recorded block (a closed loop — the trace will jump back internally),
 //! or at any event a trace cannot contain (a step-path fallback, a fault,
-//! a self-modifying store, an executed trace). When the call returns, the
+//! a self-modifying store, an executed trace). A block whose own
+//! `SVC`/`BRK`/`ERET` terminator ended the call is recorded before the
+//! recording stops: the trace then closes with that terminator, which
+//! ends the call from inside the trace, so syscall entry and exit paths
+//! run in tier 2 up to and including the instruction that leaves them.
+//! When the call returns, the
 //! recording is *finalized*: each block is re-decoded from the current
 //! bytes, the bodies are flattened into the op array, and the whole unit
 //! is stamped with the current translation generation plus the write
@@ -43,10 +48,28 @@
 //! for the loop edge), on a mismatch the op has already performed its
 //! full architectural effect, so the trace simply materializes the PC and
 //! *side-exits* back to tier 1 — never replaying or undoing anything.
-//! Stores re-check the write version of every constituent page after
-//! executing and side-exit on a hit, which is strictly stronger than
-//! tier 1's own self-modification abort. `SVC`/`BRK`/`ERET` and faults
-//! end the call through the shared step semantics exactly as tier 1 does.
+//! A store that wrote the frame of any constituent page side-exits right
+//! after itself, which is strictly stronger than tier 1's own
+//! self-modification abort. The guard compares the store's destination
+//! frame (reported by the memo accessors) with the pages' frames: inside
+//! one trace execution only the trace's own stores can move those pages'
+//! write versions, so this equals re-reading every page version — still
+//! the check for a store that took the general, frame-less path.
+//! `SVC`/`BRK`/`ERET` and faults end the call through the shared step
+//! semantics exactly as tier 1 does.
+//!
+//! # Memory runs
+//!
+//! Consecutive no-writeback `LDR/STR/LDP/STP` ops of one block body that
+//! share a base register no load of theirs writes, and whose accesses fit
+//! one page-sized window, fuse into one op (a `MemRun`): the base is
+//! read once, the window translated once per access type, and the
+//! accesses performed in order on that frame. When that is not provably
+//! exact (the window crosses a page at run time, the caches are off, a
+//! translation fails, a store would hit the trace's own code) the run
+//! replays its accesses through the per-op handlers, so faults and side
+//! exits land exactly where they would unfused, and refunds the charge
+//! of any access it did not reach.
 //!
 //! # Entry validation and invalidation
 //!
@@ -146,13 +169,17 @@ pub(crate) enum OpOutcome {
 }
 
 /// Borrows of the trace's guard state handed to each op: the constituent
-/// pages (store guards), the per-site PAC memos, and the parking slot for
-/// a call-ending outcome (see [`OpOutcome::Exit`]).
+/// pages (store guards), the per-site PAC memos, the fused memory runs,
+/// the parking slot for a call-ending outcome (see [`OpOutcome::Exit`]),
+/// and the charge a fused run that left early did not retire.
 pub(crate) struct TraceCtx<'a> {
     pages: &'a [TracePage],
     sites: &'a mut [PacSite],
     mems: &'a mut [TransMemo],
+    runs: &'a [MemRun],
     exit: Option<Result<Step, CpuError>>,
+    refund_cycles: u64,
+    refund_insns: u64,
 }
 
 /// The pre-resolved handler for one flattened op.
@@ -191,8 +218,9 @@ pub(crate) struct TraceOp {
     /// of a folded superop — see `fold_imm_accum` in `finalize_trace`).
     count: u16,
     pass: Pass,
-    /// Index into the trace's PAC-site memos (`u16::MAX` when the op has
-    /// no site).
+    /// Index into the trace's PAC-site memos, translation memos (memory
+    /// ops) or memory runs (a fused run), by handler; `u16::MAX` when the
+    /// op has none.
     site: u16,
     rd: Reg,
     rn: Reg,
@@ -227,6 +255,57 @@ pub(crate) struct PacSite {
     result: u64,
 }
 
+/// What one access of a [`MemRun`] does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunKind {
+    Ldr,
+    Str,
+    Ldp,
+    Stp,
+}
+
+impl RunKind {
+    /// Bytes the access touches.
+    fn bytes(self) -> i64 {
+        match self {
+            RunKind::Ldr | RunKind::Str => 8,
+            RunKind::Ldp | RunKind::Stp => 16,
+        }
+    }
+}
+
+/// One access of a [`MemRun`], resolved for the single-frame fast path.
+#[derive(Debug, Clone, Copy)]
+struct RunAccess {
+    kind: RunKind,
+    /// Byte offset from the run's window start (below [`PAGE_SIZE`]).
+    rel: u16,
+    rt: Reg,
+    rt2: Reg,
+}
+
+/// A fused memory run: two or more consecutive no-writeback
+/// `LDR/STR [Xn, #imm]` / `LDP/STP [Xn, #simm]` ops of one block body that
+/// share a base register no load of the run writes, executed by one
+/// [`op_mem_run`] op.
+#[derive(Debug, Clone)]
+pub(crate) struct MemRun {
+    /// Offset (wrapping) from the base register to the lowest byte any
+    /// access touches: the window start.
+    lo: u64,
+    /// Bytes from the window start to one past the highest byte touched
+    /// (at most [`PAGE_SIZE`]).
+    span: u64,
+    has_loads: bool,
+    has_stores: bool,
+    /// Memo slots of the run's read and write translations.
+    read_memo: u16,
+    write_memo: u16,
+    accesses: Vec<RunAccess>,
+    /// The same accesses as ordinary per-op handlers, for the fallback.
+    ops: Vec<TraceOp>,
+}
+
 /// One cached trace.
 #[derive(Debug, Clone)]
 pub(crate) struct TraceEntry {
@@ -242,6 +321,7 @@ pub(crate) struct TraceEntry {
     ops: Vec<TraceOp>,
     sites: Vec<PacSite>,
     mems: Vec<TransMemo>,
+    runs: Vec<MemRun>,
 }
 
 /// One block noted during recording.
@@ -376,7 +456,10 @@ impl Cpu {
             pages: &tr.pages,
             sites: &mut tr.sites,
             mems: &mut tr.mems,
+            runs: &tr.runs,
             exit: None,
+            refund_cycles: 0,
+            refund_insns: 0,
         };
         let mut cycles = 0u64;
         let mut insns = 0u64;
@@ -406,8 +489,10 @@ impl Cpu {
                 }
             }
         };
-        *acc_cycles += cycles;
-        *acc_insns += insns;
+        // A fused memory run that left the trace part-way was charged for
+        // accesses it never executed (zero otherwise).
+        *acc_cycles += cycles - tc.refund_cycles;
+        *acc_insns += insns - tc.refund_insns;
         out
     }
 
@@ -426,6 +511,7 @@ impl Cpu {
         let mut starts: Vec<(u64, u32)> = Vec::new();
         let mut sites: u16 = 0;
         let mut mems: u16 = 0;
+        let mut runs: Vec<MemRun> = Vec::new();
         // Ops are only usable up to the last terminator (a trace must end
         // in a guard that sets the PC); trailing fall-through bodies are
         // truncated.
@@ -459,8 +545,10 @@ impl Cpu {
             if ops.len() + block.body.len() + usize::from(b.has_term) > MAX_TRACE_OPS {
                 break;
             }
-            let base = ops.len();
-            starts.push((b.va, base as u32));
+            starts.push((b.va, ops.len() as u32));
+            // Superops never span blocks: jump targets are block starts,
+            // which must stay addressable.
+            let mut body: Vec<TraceOp> = Vec::with_capacity(block.body.len());
             for (i, insn) in block.body.iter().enumerate() {
                 let op = make_op(insn, b.va + 4 * i as u64, &self.cost, &mut sites, &mut mems);
                 // Superop folding: a run of immediate adds/subs
@@ -468,11 +556,8 @@ impl Cpu {
                 // op — the intermediate values are unobservable (no
                 // guards, faults or exits between them), the final value
                 // is the same wrapping sum, and the folded op charges the
-                // run's summed cycles and instruction count. Only within
-                // one block's body, past its first op: jump targets are
-                // block starts, which must stay addressable.
-                if ops.len() > base {
-                    let prev = ops.last_mut().expect("non-empty past base");
+                // run's summed cycles and instruction count.
+                if let Some(prev) = body.last_mut() {
                     if let (Some((rp, ap)), Some((ro, ao))) = (imm_accum(prev), imm_accum(&op)) {
                         if rp == ro {
                             prev.exec = op_add_imm;
@@ -489,8 +574,9 @@ impl Cpu {
                         }
                     }
                 }
-                ops.push(op);
+                body.push(op);
             }
+            fuse_mem_runs(&body, &mut ops, &mut runs, &mut mems);
             match block.terminator {
                 Some(term) => {
                     let va = b.va + 4 * block.body.len() as u64;
@@ -548,6 +634,7 @@ impl Cpu {
             ops,
             sites: vec![PacSite::default(); usize::from(sites)],
             mems: vec![TransMemo::default(); usize::from(mems)],
+            runs,
         });
         self.stats.trace_misses += 1;
         self.trace_cache[trace_slot(first.pa)] = Some(entry);
@@ -577,6 +664,103 @@ fn imm_accum(op: &TraceOp) -> Option<(Reg, u64)> {
             Some((rd, op.imm.wrapping_neg()))
         }
         _ => None,
+    }
+}
+
+/// The memory-run shape of an op, `(base, offset, access)`, when it can
+/// join a [`MemRun`]: a no-writeback `LDR/STR/LDP/STP` whose loads do not
+/// overwrite the base (the run reads the base register once).
+fn run_shape(insn: &Insn) -> Option<(Reg, i64, RunKind)> {
+    match *insn {
+        Insn::Ldr {
+            rt,
+            rn,
+            mode: AddrMode::Unsigned(imm),
+        } if rt != rn => Some((rn, i64::from(imm), RunKind::Ldr)),
+        Insn::Str {
+            rn,
+            mode: AddrMode::Unsigned(imm),
+            ..
+        } => Some((rn, i64::from(imm), RunKind::Str)),
+        Insn::Ldp {
+            rt,
+            rt2,
+            rn,
+            mode: PairMode::SignedOffset(imm),
+        } if rt != rn && rt2 != rn => Some((rn, i64::from(imm), RunKind::Ldp)),
+        Insn::Stp {
+            rn,
+            mode: PairMode::SignedOffset(imm),
+            ..
+        } => Some((rn, i64::from(imm), RunKind::Stp)),
+        _ => None,
+    }
+}
+
+/// Appends one block's `body` to `ops`, replacing each maximal run of two
+/// or more consecutive same-base memory ops whose accesses fit one page
+/// window with a single [`op_mem_run`] op. The run op charges the summed
+/// cycles and instruction count of its accesses; its per-op handlers are
+/// kept in the [`MemRun`] for the fallback.
+fn fuse_mem_runs(body: &[TraceOp], ops: &mut Vec<TraceOp>, runs: &mut Vec<MemRun>, mems: &mut u16) {
+    let mut i = 0;
+    while i < body.len() {
+        let Some((base, off, kind)) = run_shape(&body[i].insn) else {
+            ops.push(body[i]);
+            i += 1;
+            continue;
+        };
+        let (mut lo, mut hi) = (off, off + kind.bytes());
+        let mut shapes = vec![(off, kind)];
+        while let Some((rn, off, kind)) = body
+            .get(i + shapes.len())
+            .and_then(|op| run_shape(&op.insn))
+        {
+            let (wlo, whi) = (lo.min(off), hi.max(off + kind.bytes()));
+            if rn != base || whi - wlo > PAGE_SIZE as i64 {
+                break;
+            }
+            (lo, hi) = (wlo, whi);
+            shapes.push((off, kind));
+        }
+        let end = i + shapes.len();
+        let members = &body[i..end];
+        if members.len() < 2 {
+            ops.push(body[i]);
+            i += 1;
+            continue;
+        }
+        let accesses: Vec<RunAccess> = members
+            .iter()
+            .zip(shapes)
+            .map(|(m, (off, kind))| RunAccess {
+                kind,
+                rel: (off - lo) as u16,
+                rt: m.rd,
+                rt2: m.rm,
+            })
+            .collect();
+        let mut op = members[0];
+        op.exec = op_mem_run;
+        op.site = runs.len() as u16;
+        op.cycles = members.iter().map(|m| m.cycles).sum();
+        op.count = members.iter().map(|m| m.count).sum();
+        runs.push(MemRun {
+            lo: lo as u64,
+            span: (hi - lo) as u64,
+            has_loads: accesses
+                .iter()
+                .any(|a| matches!(a.kind, RunKind::Ldr | RunKind::Ldp)),
+            has_stores: accesses
+                .iter()
+                .any(|a| matches!(a.kind, RunKind::Str | RunKind::Stp)),
+            read_memo: alloc_site(mems),
+            write_memo: alloc_site(mems),
+            accesses,
+            ops: members.to_vec(),
+        });
+        ops.push(op);
+        i = end;
     }
 }
 
@@ -913,13 +1097,32 @@ fn guard(cpu: &mut Cpu, op: &TraceOp, actual: u64) -> OpOutcome {
 /// constituent code page leaves the trace after the store, exactly as
 /// tier 1 aborts its block (the trace is strictly more conservative — it
 /// also leaves for stores into *other* constituent pages).
+///
+/// `written` is the frame the store wrote, when it took the
+/// single-translation path. Inside one trace execution only the trace's
+/// own stores can move its pages' write versions (entry validated them,
+/// and the first store that hits one leaves), so comparing the
+/// destination frame with the pages is equivalent to re-reading every
+/// page version — which remains the check for a store that took the
+/// general path (`None`: page-crossing, or caches off).
 #[inline]
-fn smc_check(cpu: &mut Cpu, mem: &Memory, op: &TraceOp, tc: &TraceCtx) -> OpOutcome {
-    for p in tc.pages {
-        if mem.phys().frame_version(p.frame) != p.version {
-            cpu.state.pc = op.va + 4;
-            return OpOutcome::Side;
-        }
+fn smc_check(
+    cpu: &mut Cpu,
+    mem: &Memory,
+    op: &TraceOp,
+    tc: &TraceCtx,
+    written: Option<Frame>,
+) -> OpOutcome {
+    let hit = match written {
+        Some(frame) => tc.pages.iter().any(|p| p.frame == frame),
+        None => tc
+            .pages
+            .iter()
+            .any(|p| mem.phys().frame_version(p.frame) != p.version),
+    };
+    if hit {
+        cpu.state.pc = op.va + 4;
+        return OpOutcome::Side;
     }
     OpOutcome::Next
 }
@@ -1165,13 +1368,13 @@ fn op_str(
 ) -> OpOutcome {
     let addr = cpu.addr_single(op.rn, op.mode);
     let v = cpu.state.read(op.rd);
-    trace_mem_try!(
+    let written = trace_mem_try!(
         cpu,
         op,
         tc,
         mem.write_u64_memo(ctx, addr, v, &mut tc.mems[usize::from(op.site)])
     );
-    smc_check(cpu, mem, op, tc)
+    smc_check(cpu, mem, op, tc, written)
 }
 
 fn op_ldp(
@@ -1203,13 +1406,125 @@ fn op_stp(
     let addr = cpu.addr_pair(op.rn, op.pmode);
     let v1 = cpu.state.read(op.rd);
     let v2 = cpu.state.read(op.rm);
-    trace_mem_try!(
+    let written = trace_mem_try!(
         cpu,
         op,
         tc,
         mem.write_u64_pair_memo(ctx, addr, v1, v2, &mut tc.mems[usize::from(op.site)])
     );
-    smc_check(cpu, mem, op, tc)
+    smc_check(cpu, mem, op, tc, written)
+}
+
+/// A fused memory run (see [`MemRun`]): one translation per access type,
+/// then every access in order on the one frame they all land in, each
+/// stored qword bumping the frame's write version as `write_u64` does.
+/// Whenever that shortcut is not provably exact — the window crosses a
+/// page, the caches are off, a translation fails, or a store would land in
+/// one of the trace's own code pages — the run executes through its
+/// per-op handlers instead (see [`mem_run_fallback`]).
+fn op_mem_run(
+    cpu: &mut Cpu,
+    mem: &mut Memory,
+    ctx: &TranslationCtx,
+    op: &TraceOp,
+    tc: &mut TraceCtx,
+) -> OpOutcome {
+    let runs = tc.runs;
+    let run = &runs[usize::from(op.site)];
+    // No load of the run writes the base, so one read serves every access.
+    let start = cpu.state.read(op.rn).wrapping_add(run.lo);
+    let off = start % PAGE_SIZE;
+    if off + run.span > PAGE_SIZE || !mem.caching() {
+        return mem_run_fallback(cpu, mem, ctx, run, tc);
+    }
+    let Some(frame) = run_frame(mem, ctx, start, run, tc) else {
+        return mem_run_fallback(cpu, mem, ctx, run, tc);
+    };
+    let Some(mut page) = mem.phys_mut().page_mut(frame) else {
+        return mem_run_fallback(cpu, mem, ctx, run, tc);
+    };
+    let off = off as usize;
+    for a in &run.accesses {
+        let at = off + usize::from(a.rel);
+        match a.kind {
+            RunKind::Ldr => {
+                let v = page.read_u64(at);
+                cpu.state.write(a.rt, v);
+            }
+            RunKind::Str => page.write_u64(at, cpu.state.read(a.rt)),
+            RunKind::Ldp => {
+                let v1 = page.read_u64(at);
+                let v2 = page.read_u64(at + 8);
+                cpu.state.write(a.rt, v1);
+                cpu.state.write(a.rt2, v2);
+            }
+            RunKind::Stp => {
+                let v1 = cpu.state.read(a.rt);
+                let v2 = cpu.state.read(a.rt2);
+                page.write_u64(at, v1);
+                page.write_u64(at + 8, v2);
+            }
+        }
+    }
+    OpOutcome::Next
+}
+
+/// The frame a run's single-page window at `start` lands in, translated
+/// once per access type the run performs through its own memos; `None`
+/// when a translation fails or a store would hit a trace code page. Both
+/// translations walk the same stage-1 entry, so they name one frame.
+#[inline]
+fn run_frame(
+    mem: &Memory,
+    ctx: &TranslationCtx,
+    start: u64,
+    run: &MemRun,
+    tc: &mut TraceCtx,
+) -> Option<Frame> {
+    let mut read = None;
+    if run.has_loads {
+        let memo = &mut tc.mems[usize::from(run.read_memo)];
+        read = Some(
+            mem.translate_memo(ctx, start, AccessType::Read, memo)
+                .ok()?,
+        );
+    }
+    if !run.has_stores {
+        return read.map(Frame::containing);
+    }
+    let memo = &mut tc.mems[usize::from(run.write_memo)];
+    let frame = Frame::containing(
+        mem.translate_memo(ctx, start, AccessType::Write, memo)
+            .ok()?,
+    );
+    (!tc.pages.iter().any(|p| p.frame == frame)).then_some(frame)
+}
+
+/// A fused run's exact fallback: its accesses through the ordinary per-op
+/// handlers, in order, so faults, side exits and their PCs match the
+/// unfused trace (and so the step path). The run op was charged for every
+/// access up front; when one leaves the trace — a fault, or a store into
+/// the trace's own code — the accesses after it never execute, and their
+/// charge is refunded exactly as the step path never charges them.
+#[cold]
+#[inline(never)]
+fn mem_run_fallback(
+    cpu: &mut Cpu,
+    mem: &mut Memory,
+    ctx: &TranslationCtx,
+    run: &MemRun,
+    tc: &mut TraceCtx,
+) -> OpOutcome {
+    for (k, member) in run.ops.iter().enumerate() {
+        let out = (member.exec)(cpu, mem, ctx, member, tc);
+        if out != OpOutcome::Next {
+            let rest = &run.ops[k + 1..];
+            tc.refund_cycles = rest.iter().map(|m| u64::from(m.cycles)).sum();
+            tc.refund_insns = rest.iter().map(|m| u64::from(m.count)).sum();
+            return out;
+        }
+    }
+    OpOutcome::Next
 }
 
 fn op_msr(

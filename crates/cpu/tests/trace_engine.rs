@@ -5,10 +5,11 @@
 //! re-stamping, slot recycling, and the per-call retirement bound.
 
 use camo_cpu::{trace, Cpu, CpuStats, Step};
-use camo_isa::{encode, AddrMode, Insn, PacKey, Reg, SysReg};
+use camo_isa::{encode, AddrMode, Insn, PacKey, PairMode, Reg, SysReg};
 use camo_mem::{
     AccessType, El, Frame, MemFault, Memory, S1Attr, S2Attr, TableId, KERNEL_BASE, PAGE_SIZE,
 };
+use proptest::prelude::*;
 
 /// Loads `insns` at KERNEL_BASE (text), with a data page above and a
 /// writable+executable page at +2 pages for self-modifying tests.
@@ -113,8 +114,9 @@ fn hot_loop_program(iters: u16) -> Vec<Insn> {
     ]
 }
 
-/// Drives `cpu` with `step` or `run_block` until a `BrkTrap` surfaces.
-fn drive(cpu: &mut Cpu, mem: &mut Memory, blocks: bool) {
+/// Drives `cpu` with `step` or `run_block` until a `BrkTrap` surfaces and
+/// returns its immediate.
+fn run_to_brk(cpu: &mut Cpu, mem: &mut Memory, blocks: bool) -> u16 {
     for _ in 1..1_000_000 {
         let step = if blocks {
             cpu.run_block(mem).expect("benign program")
@@ -122,11 +124,15 @@ fn drive(cpu: &mut Cpu, mem: &mut Memory, blocks: bool) {
             cpu.step(mem).expect("benign program")
         };
         if let Step::BrkTrap { imm } = step {
-            assert_eq!(imm, 0x42);
-            return;
+            return imm;
         }
     }
-    panic!("program never reached its BRK");
+    panic!("program never reached a BRK");
+}
+
+/// Drives `cpu` until the program's closing `BRK #0x42`.
+fn drive(cpu: &mut Cpu, mem: &mut Memory, blocks: bool) {
+    assert_eq!(run_to_brk(cpu, mem, blocks), 0x42);
 }
 
 enum Engine {
@@ -602,4 +608,375 @@ fn trace_call_retirement_is_bounded() {
         retired > trace::TRACE_CALL_INSNS / 2,
         "a looping trace should get close to the bound, retired {retired}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Fused memory runs. A run of same-base `LDR/STR/LDP/STP` ops inside one
+// block body executes as one trace op on one frame; whenever that is not
+// provably exact it falls back to the per-op handlers and refunds the
+// charge of the accesses it did not reach. The benchmark workloads never
+// take the fallback, so these tests are its coverage.
+// ---------------------------------------------------------------------
+
+const DATA: u64 = KERNEL_BASE + PAGE_SIZE;
+const SMC_PAGE: u64 = KERNEL_BASE + 2 * PAGE_SIZE;
+/// A read-only data page (see [`map_rodata_and_vectors`]).
+const RODATA: u64 = KERNEL_BASE + 3 * PAGE_SIZE;
+/// `BRK` immediate at the same-EL synchronous vector: a vectored fault.
+const FAULT_BRK: u16 = 0x43;
+
+fn load(rt: u8, rn: Reg, off: u16) -> Insn {
+    Insn::Ldr {
+        rt: Reg::x(rt),
+        rn,
+        mode: AddrMode::Unsigned(off),
+    }
+}
+
+fn store(rt: u8, rn: Reg, off: u16) -> Insn {
+    Insn::Str {
+        rt: Reg::x(rt),
+        rn,
+        mode: AddrMode::Unsigned(off),
+    }
+}
+
+fn load_pair(rt: u8, rt2: u8, rn: Reg, off: i16) -> Insn {
+    Insn::Ldp {
+        rt: Reg::x(rt),
+        rt2: Reg::x(rt2),
+        rn,
+        mode: PairMode::SignedOffset(off),
+    }
+}
+
+fn store_pair(rt: u8, rt2: u8, rn: Reg, off: i16) -> Insn {
+    Insn::Stp {
+        rt: Reg::x(rt),
+        rt2: Reg::x(rt2),
+        rn,
+        mode: PairMode::SignedOffset(off),
+    }
+}
+
+fn imm(rd: u8, add: bool, imm12: u16) -> Insn {
+    let (rd, rn) = (Reg::x(rd), Reg::x(rd));
+    if add {
+        Insn::AddImm {
+            rd,
+            rn,
+            imm12,
+            shifted: false,
+        }
+    } else {
+        Insn::SubImm {
+            rd,
+            rn,
+            imm12,
+            shifted: false,
+        }
+    }
+}
+
+/// `CBNZ x0` from instruction index `at` back to index `to`.
+fn loop_back(at: usize, to: usize) -> Insn {
+    Insn::Cbnz {
+        rt: Reg::x(0),
+        offset: -4 * (at - to) as i32,
+    }
+}
+
+/// Maps a read-only data page at [`RODATA`] (first qwords non-zero) and a
+/// vector page whose same-EL synchronous entry is `BRK #FAULT_BRK`.
+fn map_rodata_and_vectors(cpu: &mut Cpu, mem: &mut Memory) {
+    let table = TableId::from_raw(cpu.state.sysreg(SysReg::Ttbr1El1));
+    let ro = mem.map_new(table, RODATA, S1Attr::kernel_rodata());
+    for i in 0..8u64 {
+        mem.phys_mut()
+            .write_u64(ro.base() + 8 * i, 0x0B0B_0000 + i)
+            .unwrap();
+    }
+    let vbar = cpu.state.sysreg(SysReg::VbarEl1);
+    let vectors = mem.map_new(table, vbar, S1Attr::kernel_text());
+    mem.phys_mut()
+        .write_u32(
+            vectors.base() + camo_cpu::vector::SYNC_SAME_EL,
+            encode(&Insn::Brk { imm: FAULT_BRK }),
+        )
+        .unwrap();
+}
+
+/// The bytes of the data and self-modifying pages.
+fn data_bytes(cpu: &Cpu, mem: &Memory) -> Vec<u8> {
+    let ctx = cpu.translation_ctx();
+    let mut out = vec![0u8; 2 * PAGE_SIZE as usize];
+    for (i, chunk) in out.chunks_mut(PAGE_SIZE as usize).enumerate() {
+        let pa = mem
+            .translate(&ctx, DATA + i as u64 * PAGE_SIZE, AccessType::Read)
+            .unwrap();
+        mem.phys().read_bytes(pa, chunk).unwrap();
+    }
+    out
+}
+
+/// Runs `phases` on one machine under `engine`: each `(pc, x0, x19, brk)`
+/// starts at `pc` with those registers and runs to the `BRK #brk` it
+/// expects.
+fn run_phases(
+    program: &[Insn],
+    engine: &Engine,
+    init: impl Fn(&mut Cpu, &mut Memory),
+    phases: &[(u64, u64, u64, u16)],
+) -> (Cpu, Memory) {
+    let (mut cpu, mut mem) = machine(program);
+    configure(&mut cpu, engine);
+    init(&mut cpu, &mut mem);
+    for &(pc, x0, x19, brk) in phases {
+        cpu.state.pc = pc;
+        cpu.state.gprs[0] = x0;
+        cpu.state.gprs[19] = x19;
+        let blocks = !matches!(engine, Engine::Step);
+        assert_eq!(run_to_brk(&mut cpu, &mut mem, blocks), brk);
+    }
+    (cpu, mem)
+}
+
+/// Runs the three engines and checks registers, PC, cycles, architectural
+/// counters, fault syndrome and the data pages agree; returns the traced
+/// core.
+fn three_arms(
+    program: &[Insn],
+    init: impl Fn(&mut Cpu, &mut Memory),
+    phases: &[(u64, u64, u64, u16)],
+) -> Cpu {
+    let (cpu_s, mem_s) = run_phases(program, &Engine::Step, &init, phases);
+    let (cpu_b, mem_b) = run_phases(program, &Engine::Blocks, &init, phases);
+    let (cpu_t, mem_t) = run_phases(program, &Engine::Traces, &init, phases);
+    for (cpu, mem) in [(&cpu_b, &mem_b), (&cpu_t, &mem_t)] {
+        assert_arch_identical(cpu, &cpu_s);
+        for sr in [SysReg::ElrEl1, SysReg::FarEl1, SysReg::EsrEl1] {
+            assert_eq!(cpu.state.sysreg(sr), cpu_s.state.sysreg(sr), "{sr:?}");
+        }
+        assert!(
+            data_bytes(cpu, mem) == data_bytes(&cpu_s, &mem_s),
+            "memory diverged"
+        );
+    }
+    assert!(cpu_t.stats().trace_hits > 0, "the loop ran as a trace");
+    cpu_t
+}
+
+/// A run whose 32-byte window walks across the data page's end: the
+/// iterations that straddle the boundary take the per-op fallback, the
+/// others the single-frame path, and every arm agrees.
+#[test]
+fn fused_run_straddling_a_page_matches_the_step_path() {
+    let program = [
+        Insn::Movz {
+            rd: Reg::x(1),
+            imm16: 0x1111,
+            shift: 0,
+        },
+        // loop (1):
+        store_pair(1, 0, Reg::x(19), 0),
+        store(0, Reg::x(19), 16),
+        load(3, Reg::x(19), 8),
+        load_pair(4, 5, Reg::x(19), 16),
+        store(4, Reg::x(19), 24),
+        imm(19, true, 8),
+        imm(1, true, 3),
+        imm(0, false, 1),
+        loop_back(9, 1),
+        Insn::Brk { imm: 0x42 },
+    ];
+    // 200 iterations from 960 bytes below the boundary: the trace forms
+    // long before iterations 117–119 straddle it.
+    let start = SMC_PAGE - 960;
+    three_arms(&program, |_, _| {}, &[(KERNEL_BASE, 200, start, 0x42)]);
+}
+
+/// A load-then-store run turned onto a read-only page: both loads retire,
+/// the first store faults (vectored), and the trace charges exactly the
+/// step path's cycles — the second store's charge is refunded.
+#[test]
+fn fused_run_store_fault_on_read_only_page_matches_the_step_path() {
+    let program = [
+        load(2, Reg::x(19), 0),
+        load(3, Reg::x(19), 8),
+        store(2, Reg::x(19), 16),
+        store(3, Reg::x(19), 24),
+        imm(0, false, 1),
+        loop_back(5, 0),
+        Insn::Brk { imm: 0x42 },
+    ];
+    let cpu = three_arms(
+        &program,
+        map_rodata_and_vectors,
+        &[
+            (KERNEL_BASE, 100, DATA, 0x42),
+            (KERNEL_BASE, 100, RODATA, FAULT_BRK),
+        ],
+    );
+    assert_eq!(
+        (cpu.state.gprs[2], cpu.state.gprs[3]),
+        (0x0B0B_0000, 0x0B0B_0001),
+        "the loads before the faulting store retired"
+    );
+    assert_eq!(cpu.state.sysreg(SysReg::ElrEl1), KERNEL_BASE + 8);
+    assert_eq!(cpu.state.sysreg(SysReg::FarEl1), RODATA + 16);
+}
+
+/// A run whose first store rewrites the trace's own code: the trace
+/// leaves right after that store (the rewritten instruction runs, not the
+/// stale op), refunds the rest of the run, and is discarded at its next
+/// entry.
+#[test]
+fn fused_run_store_into_own_code_leaves_after_that_store() {
+    let loop_body = [
+        store(1, Reg::x(19), 0),
+        store(4, Reg::x(19), 0x100),
+        load(2, Reg::x(19), 0x100),
+        imm(0, false, 1),
+        loop_back(4, 0),
+        Insn::Brk { imm: 0x42 },
+    ];
+    let patched = Insn::Movz {
+        rd: Reg::x(2),
+        imm16: 0x77,
+        shift: 0,
+    };
+    // In phase 2, x19 points at instruction 2: the first store replaces
+    // the `LDR x2` with `MOVZ x2, #0x77` and rewrites instruction 3
+    // unchanged.
+    let word = u64::from(encode(&patched)) | u64::from(encode(&loop_body[3])) << 32;
+    let init = |cpu: &mut Cpu, mem: &mut Memory| {
+        let ctx = cpu.translation_ctx();
+        let pa = mem.translate(&ctx, SMC_PAGE, AccessType::Execute).unwrap();
+        for (i, insn) in loop_body.iter().enumerate() {
+            mem.phys_mut()
+                .write_u32(pa + 4 * i as u64, encode(insn))
+                .unwrap();
+        }
+        cpu.state.gprs[1] = word;
+        cpu.state.gprs[4] = 0xDEAD;
+    };
+    let cpu = three_arms(
+        &[],
+        init,
+        &[
+            (SMC_PAGE, 100, DATA, 0x42),
+            (SMC_PAGE, 1, SMC_PAGE + 8, 0x42),
+            (SMC_PAGE, 30, DATA, 0x42),
+        ],
+    );
+    assert_eq!(cpu.state.gprs[2], 0x77, "the rewritten instruction ran");
+    // Nothing else in the three phases moves a trace page.
+    assert!(
+        cpu.stats().trace_invalidations > 0,
+        "the rewritten page must discard the trace at its next entry"
+    );
+}
+
+/// A load that overwrites the run's base register ends fusion there: the
+/// accesses after it use the loaded base, exactly as the step path does.
+#[test]
+fn load_overwriting_the_base_ends_the_fused_run() {
+    let program = [
+        // loop (0):
+        Insn::Adr {
+            rd: Reg::x(19),
+            offset: PAGE_SIZE as i32,
+        },
+        load(2, Reg::x(19), 0),
+        load(19, Reg::x(19), 8),
+        load(3, Reg::x(19), 0),
+        store(3, Reg::x(19), 16),
+        imm(0, false, 1),
+        loop_back(6, 0),
+        Insn::Brk { imm: 0x42 },
+    ];
+    let init = |cpu: &mut Cpu, mem: &mut Memory| {
+        let ctx = cpu.translation_ctx();
+        let pa = mem.translate(&ctx, DATA, AccessType::Read).unwrap();
+        for (off, v) in [(0, 0x1234), (8, DATA + 0x100), (0x100, 0x5555)] {
+            mem.phys_mut().write_u64(pa + off, v).unwrap();
+        }
+    };
+    let cpu = three_arms(&program, init, &[(KERNEL_BASE, 100, 0, 0x42)]);
+    assert_eq!(
+        (cpu.state.gprs[2], cpu.state.gprs[3]),
+        (0x1234, 0x5555),
+        "the load after the base overwrite used the new base"
+    );
+}
+
+/// A small deterministic generator for the property below.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A loop around `len` random same-base (`x19`) memory ops over x1..x8,
+/// then `x19 += stride`.
+fn random_run_program(seed: u64, len: usize, stride: u16) -> Vec<Insn> {
+    let mut s = seed;
+    let mut program = Vec::new();
+    for _ in 0..len {
+        let r = splitmix(&mut s);
+        let rt = 1 + (r >> 8) as u8 % 8;
+        let rt2 = 1 + (r >> 16) as u8 % 8;
+        let off = (r >> 24) % 9;
+        program.push(match r % 4 {
+            0 => load(rt, Reg::x(19), 8 * off as u16),
+            1 => store(rt, Reg::x(19), 8 * off as u16),
+            2 => load_pair(rt, rt2, Reg::x(19), 8 * off as i16 - 32),
+            _ => store_pair(rt, rt2, Reg::x(19), 8 * off as i16 - 32),
+        });
+    }
+    let n = program.len();
+    program.extend([
+        imm(19, true, stride),
+        imm(0, false, 1),
+        loop_back(n + 2, 0),
+        Insn::Brk { imm: 0x42 },
+    ]);
+    program
+}
+
+proptest! {
+    /// Random same-base runs — any mix of `LDR/STR/LDP/STP`, random
+    /// offsets, unaligned bases, windows that cross from the data page
+    /// into the next — match a caches-off step-path core exactly.
+    #[test]
+    fn random_fused_runs_match_the_caches_off_step_path(
+        seed in any::<u64>(),
+        len in 2usize..=8,
+        stride in 1u16..=12,
+        below in 64u64..=2048,
+    ) {
+        let program = random_run_program(seed, len, stride);
+        let run = |traced: bool| {
+            let (mut cpu, mut mem) = machine(&program);
+            if !traced {
+                cpu.set_caching(false);
+                mem.set_caching(false);
+            }
+            for r in 1..=8 {
+                cpu.state.gprs[r] = seed.rotate_left(8 * r as u32) ^ r as u64;
+            }
+            // Past one call's chain cap, so the installed trace gets entered.
+            cpu.state.gprs[0] = 160;
+            cpu.state.gprs[19] = SMC_PAGE - below;
+            drive(&mut cpu, &mut mem, traced);
+            (cpu, mem)
+        };
+        let (cpu_t, mem_t) = run(true);
+        let (cpu_s, mem_s) = run(false);
+        assert_arch_identical(&cpu_t, &cpu_s);
+        prop_assert!(data_bytes(&cpu_t, &mem_t) == data_bytes(&cpu_s, &mem_s));
+        prop_assert!(cpu_t.stats().trace_hits > 0);
+    }
 }

@@ -1,6 +1,6 @@
 //! The kernel: boot, syscall machinery, scheduling, modules, workqueues.
 
-use crate::image::{build_user_program, syscall_by_nr, KernelImage};
+use crate::image::{build_user_program, KernelImage, SyscallSpec, SYSCALLS};
 use crate::layout::{
     self, file_struct, task_struct, type_consts, upcall, KEYSETTER_VA, PT_X8, RODATA_BASE,
     USER_STACK_TOP, USER_TEXT_BASE, VECTORS_VA,
@@ -222,8 +222,9 @@ struct HotSymbols {
     ret_to_user: u64,
     syscall_ret_glue: u64,
     restore_user_keys: u64,
-    /// `(nr, sys_<name> VA)` for every modeled syscall, in table order.
-    sys_bodies: Vec<(u64, u64)>,
+    /// `(spec, sys_<name> VA)` for every modeled syscall, in table order:
+    /// one lookup by number resolves both.
+    syscalls: Vec<(&'static SyscallSpec, u64)>,
     /// `(block name, user_main_<name> VA)` for every user block.
     user_entries: Vec<(String, u64)>,
 }
@@ -399,9 +400,9 @@ impl Kernel {
             ret_to_user: kimage.symbol("ret_to_user"),
             syscall_ret_glue: kimage.symbol("syscall_ret_glue"),
             restore_user_keys: kimage.symbol("restore_user_keys"),
-            sys_bodies: crate::image::SYSCALLS
+            syscalls: SYSCALLS
                 .iter()
-                .map(|spec| (spec.nr, kimage.symbol(&format!("sys_{}", spec.name))))
+                .map(|spec| (spec, kimage.symbol(&format!("sys_{}", spec.name))))
                 .collect(),
             user_entries: cfg
                 .user_blocks
@@ -1353,23 +1354,35 @@ impl Kernel {
     /// The `SYSCALL` upcall: read the number from `pt_regs`, apply
     /// host-side semantics, and redirect the PC into the syscall body with
     /// the return glue as LR.
+    ///
+    /// # Errors
+    ///
+    /// `pt_regs` lives at the guest-controlled `sp_el1`: when it does not
+    /// translate, the upcall fails with [`CpuError::UnhandledFault`] at the
+    /// current PC instead of panicking the host.
     fn dispatch_syscall(&mut self) -> Result<(), KernelError> {
         let cur = self.cur_cpu;
         let sp = self.cpus[cur].state.sp_el1;
         let kctx = self.cpus[cur].translation_ctx();
-        let nr = self
-            .mem
-            .read_u64(&kctx, sp + u64::from(PT_X8))
-            .expect("pt_regs mapped");
-        let a0 = self.mem.read_u64(&kctx, sp).expect("pt_regs mapped");
-        let a1 = self.mem.read_u64(&kctx, sp + 8).expect("pt_regs mapped");
-        let a2 = self.mem.read_u64(&kctx, sp + 16).expect("pt_regs mapped");
+        let pc = self.cpus[cur].state.pc;
+        let unhandled = |fault| KernelError::Cpu(CpuError::UnhandledFault { fault, pc });
+        let pt_reg = |off: u64| {
+            self.mem
+                .read_u64(&kctx, sp.wrapping_add(off))
+                .map_err(unhandled)
+        };
+        let (nr, a0, a1, a2) = (
+            pt_reg(u64::from(PT_X8))?,
+            pt_reg(0)?,
+            pt_reg(8)?,
+            pt_reg(16)?,
+        );
 
-        let Some(spec) = syscall_by_nr(nr) else {
+        let Some(&(spec, body_va)) = self.hot.syscalls.iter().find(|(s, _)| s.nr == nr) else {
             // -ENOSYS; straight to the exit path.
             self.mem
-                .write_u64(&mut kctx.clone(), sp, (-38i64) as u64)
-                .expect("pt_regs mapped");
+                .write_u64(&kctx, sp, (-38i64) as u64)
+                .map_err(unhandled)?;
             self.cpus[cur].state.pc = self.hot.ret_to_user;
             return Ok(());
         };
@@ -1394,22 +1407,14 @@ impl Kernel {
             }
             _ => ([default_file, a1, a2], 0),
         };
-        self.mem
-            .write_u64(&mut kctx.clone(), sp, ret)
-            .expect("pt_regs mapped");
+        self.mem.write_u64(&kctx, sp, ret).map_err(unhandled)?;
         self.cpus[cur].state.gprs[0] = body_args[0];
         self.cpus[cur].state.gprs[1] = body_args[1];
         self.cpus[cur].state.gprs[2] = body_args[2];
         self.cpus[cur]
             .state
             .write(Reg::LR, self.hot.syscall_ret_glue);
-        self.cpus[cur].state.pc = self
-            .hot
-            .sys_bodies
-            .iter()
-            .find(|&&(n, _)| n == nr)
-            .map(|&(_, va)| va)
-            .expect("spec came from the same table");
+        self.cpus[cur].state.pc = body_va;
         Ok(())
     }
 
@@ -1895,5 +1900,71 @@ mod tests {
             last = Some(h.base_va);
             k.unload_module(h.base_va).unwrap();
         }
+    }
+
+    /// Kernel entry and exit finish inside traces: once warm, a getpid
+    /// loop leaves tier 1 (the user `SVC` block, the `BRK #SYSCALL` block
+    /// and `ret_to_user`'s `ERET` tail each close a trace), and the run is
+    /// identical to a traces-off kernel.
+    #[test]
+    fn warm_syscall_loop_leaves_tier_one() {
+        let run = |trace_engine: bool| {
+            let mut k = Kernel::boot(KernelConfig {
+                trace_engine,
+                ..KernelConfig::default()
+            })
+            .expect("boot");
+            let tid = k.current_tid();
+            k.run_user(tid, "stub", 100, 172, 0).expect("warm-up");
+            let before = k.cpu().stats();
+            let out = k.run_user(tid, "stub", 100, 172, 0).expect("getpid loop");
+            (out, k.cpu().stats().delta_since(&before))
+        };
+        let (on, on_stats) = run(true);
+        let (off, off_stats) = run(false);
+        assert_eq!(on.x0, off.x0);
+        assert_eq!(on.cycles, off.cycles);
+        assert!(
+            on_stats.arch_eq(&off_stats),
+            "{on_stats:?} vs {off_stats:?}"
+        );
+        assert!(
+            on_stats.block_hits <= 2,
+            "100 warm syscalls ran {} tier-1 blocks",
+            on_stats.block_hits
+        );
+    }
+
+    /// A poisoned `sp_el1` under the `SYSCALL` upcall is a typed error, not
+    /// a host panic: `pt_regs` does not translate.
+    #[test]
+    fn dispatch_with_unmapped_pt_regs_is_a_typed_error() {
+        let mut k = booted(ProtectionLevel::Full);
+        // Between the end of kernel text and the vector page.
+        let sp = layout::KERNEL_TEXT_BASE + 0x18_0000;
+        let cur = k.cur_cpu;
+        k.cpus[cur].state.el = El::El1;
+        k.cpus[cur].state.sp_el1 = sp;
+        let ctx = k.cpus[cur].translation_ctx();
+        assert!(
+            k.mem.read_u64(&ctx, sp).is_err(),
+            "the test page is unmapped"
+        );
+        match k.dispatch_syscall() {
+            Err(KernelError::Cpu(CpuError::UnhandledFault {
+                fault: camo_mem::MemFault::Translation { .. },
+                ..
+            })) => {}
+            other => panic!("expected an unhandled translation fault, got {other:?}"),
+        }
+    }
+
+    /// An unknown syscall number returns -ENOSYS to the user.
+    #[test]
+    fn unknown_syscall_returns_enosys() {
+        let mut k = booted(ProtectionLevel::Full);
+        let out = k.syscall(9999, 0).expect("ENOSYS is a normal return");
+        assert_eq!(out.x0, -38i64 as u64);
+        assert_eq!(out.syscalls, 1);
     }
 }

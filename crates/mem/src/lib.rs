@@ -44,6 +44,6 @@ mod stage2;
 
 pub use layout::{PointerLayout, VaClass, KERNEL_BASE, PAGE_SIZE, VA_BITS};
 pub use mmu::{AccessType, El, MemFault, Memory, TableId, TransMemo, TranslationCtx};
-pub use phys::{Frame, PhysMem};
+pub use phys::{Frame, PageMut, PhysMem};
 pub use stage1::{S1Attr, Stage1Table};
 pub use stage2::{S2Attr, Stage2Locked, Stage2Table};

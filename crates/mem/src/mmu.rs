@@ -768,6 +768,10 @@ impl Memory {
     }
 
     /// [`Memory::write_u64`] through a per-site [`TransMemo`].
+    ///
+    /// Returns the frame written on the single-translation path, and
+    /// `None` when the store took the general path (page-crossing, or
+    /// caches off), which may have written two frames.
     #[inline]
     pub fn write_u64_memo(
         &mut self,
@@ -775,15 +779,15 @@ impl Memory {
         va: u64,
         value: u64,
         memo: &mut TransMemo,
-    ) -> Result<(), MemFault> {
+    ) -> Result<Option<Frame>, MemFault> {
         if self.tlb_enabled && va % PAGE_SIZE <= PAGE_SIZE - 8 {
             let pa = self.translate_memo(ctx, va, AccessType::Write, memo)?;
-            return self
-                .phys
+            self.phys
                 .write_u64(pa, value)
-                .ok_or(MemFault::Unmapped { pa });
+                .ok_or(MemFault::Unmapped { pa })?;
+            return Ok(Some(Frame::containing(pa)));
         }
-        self.write_u64(ctx, va, value)
+        self.write_u64(ctx, va, value).map(|()| None)
     }
 
     /// Reads the adjacent qwords at `va` and `va + 8` with one
@@ -818,7 +822,8 @@ impl Memory {
     /// Writes the adjacent qwords at `va` and `va + 8` with one
     /// translation, through a per-site [`TransMemo`] — the `STP` shape
     /// (see [`Memory::read_u64_pair_memo`] for the fault-equivalence
-    /// argument).
+    /// argument). Reports the frame written like
+    /// [`Memory::write_u64_memo`].
     #[inline]
     pub fn write_u64_pair_memo(
         &mut self,
@@ -827,19 +832,19 @@ impl Memory {
         lo: u64,
         hi: u64,
         memo: &mut TransMemo,
-    ) -> Result<(), MemFault> {
+    ) -> Result<Option<Frame>, MemFault> {
         if self.tlb_enabled && va % PAGE_SIZE <= PAGE_SIZE - 16 {
             let pa = self.translate_memo(ctx, va, AccessType::Write, memo)?;
             self.phys
                 .write_u64(pa, lo)
                 .ok_or(MemFault::Unmapped { pa })?;
-            return self
-                .phys
+            self.phys
                 .write_u64(pa + 8, hi)
-                .ok_or(MemFault::Unmapped { pa: pa + 8 });
+                .ok_or(MemFault::Unmapped { pa: pa + 8 })?;
+            return Ok(Some(Frame::containing(pa)));
         }
         self.write_u64(ctx, va, lo)?;
-        self.write_u64(ctx, va.wrapping_add(8), hi)
+        self.write_u64(ctx, va.wrapping_add(8), hi).map(|()| None)
     }
 
     /// Translates an instruction fetch: execute access, must be 4-aligned.
@@ -1212,5 +1217,37 @@ mod tests {
                 va: KERNEL_BASE + 2
             })
         );
+    }
+
+    #[test]
+    fn memo_stores_report_the_frame_they_wrote() {
+        let (mut mem, table) = setup();
+        let f1 = mem.map_new(table, KERNEL_BASE, S1Attr::kernel_data());
+        mem.map_new(table, KERNEL_BASE + PAGE_SIZE, S1Attr::kernel_data());
+        let ctx = mem.kernel_ctx(table);
+        let mut memo = TransMemo::default();
+        assert_eq!(
+            mem.write_u64_memo(&ctx, KERNEL_BASE + 8, 1, &mut memo),
+            Ok(Some(f1))
+        );
+        assert_eq!(
+            mem.write_u64_pair_memo(&ctx, KERNEL_BASE + 16, 2, 3, &mut memo),
+            Ok(Some(f1))
+        );
+        // Page-crossing stores take the general path and name no frame.
+        let edge = KERNEL_BASE + PAGE_SIZE - 8;
+        assert_eq!(mem.write_u64_memo(&ctx, edge + 4, 4, &mut memo), Ok(None));
+        assert_eq!(
+            mem.write_u64_pair_memo(&ctx, edge, 5, 6, &mut memo),
+            Ok(None)
+        );
+        assert_eq!(mem.read_u64(&ctx, edge + 8), Ok(6));
+        // So do stores with the caches off.
+        mem.set_caching(false);
+        assert_eq!(
+            mem.write_u64_memo(&ctx, KERNEL_BASE, 7, &mut memo),
+            Ok(None)
+        );
+        assert_eq!(mem.read_u64(&ctx, KERNEL_BASE), Ok(7));
     }
 }

@@ -213,6 +213,53 @@ impl PhysMem {
     pub fn write_u32(&mut self, pa: u64, value: u32) -> Option<()> {
         self.write_bytes(pa, &value.to_le_bytes())
     }
+
+    /// Opens `frame` for a run of page-offset accesses, if backed: the
+    /// accessor a caller uses after one translation proved that every
+    /// access of the run lands in this frame.
+    #[inline]
+    pub fn page_mut(&mut self, frame: Frame) -> Option<PageMut<'_>> {
+        let f = self.frame_mut(frame.0)?;
+        Some(PageMut {
+            bytes: &mut f.bytes,
+            version: &mut f.version,
+        })
+    }
+}
+
+/// One backed frame opened by [`PhysMem::page_mut`]: qword reads and
+/// writes at byte offsets within the page, each write bumping the frame's
+/// write version exactly as [`PhysMem::write_u64`] does.
+#[derive(Debug)]
+pub struct PageMut<'a> {
+    bytes: &'a mut [u8; PAGE_SIZE as usize],
+    version: &'a mut u64,
+}
+
+impl PageMut<'_> {
+    /// Reads the little-endian u64 at byte offset `off`.
+    ///
+    /// # Panics
+    ///
+    /// If `off + 8` exceeds the page.
+    #[inline]
+    pub fn read_u64(&self, off: usize) -> u64 {
+        let mut buf = [0u8; 8];
+        buf.copy_from_slice(&self.bytes[off..off + 8]);
+        u64::from_le_bytes(buf)
+    }
+
+    /// Writes the little-endian u64 at byte offset `off` and bumps the
+    /// frame's write version.
+    ///
+    /// # Panics
+    ///
+    /// If `off + 8` exceeds the page.
+    #[inline]
+    pub fn write_u64(&mut self, off: usize, value: u64) {
+        self.bytes[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        *self.version += 1;
+    }
 }
 
 #[cfg(test)]
@@ -292,6 +339,25 @@ mod tests {
         let mut buf = [0u8; 32];
         mem.read_bytes(f.base(), &mut buf).unwrap();
         assert_eq!(mem.frame_version(f), v);
+    }
+
+    #[test]
+    fn page_accessor_matches_the_frame_local_accessors() {
+        let mut mem = PhysMem::new();
+        let f = mem.alloc();
+        mem.write_u64(f.base() + 24, 7).unwrap();
+        let v0 = mem.frame_version(f);
+        let mut page = mem.page_mut(f).expect("backed");
+        assert_eq!(page.read_u64(24), 7);
+        page.write_u64(PAGE_SIZE as usize - 8, 0xabcd);
+        page.write_u64(0, 1);
+        assert_eq!(mem.read_u64(f.base() + PAGE_SIZE - 8), Some(0xabcd));
+        assert_eq!(mem.read_u64(f.base()), Some(1));
+        assert_eq!(mem.frame_version(f), v0 + 2, "one bump per stored qword");
+        assert!(
+            mem.page_mut(Frame::containing(0)).is_none(),
+            "frame 0 unbacked"
+        );
     }
 
     #[test]
