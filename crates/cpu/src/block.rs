@@ -178,14 +178,14 @@ fn classify(insn: &Insn, pauth: bool) -> InsnClass {
         // write changes the translation context captured at call entry,
         // and a CNTVCT read observes the live cycle counter, which the
         // batched accumulation only folds in at call exit.
-        Insn::Msr { sr, .. } => match sr {
-            SysReg::Ttbr0El1 | SysReg::Ttbr1El1 => InsnClass::Fallback,
-            _ => InsnClass::Straight,
-        },
-        Insn::Mrs { sr, .. } => match sr {
-            SysReg::CntvctEl0 => InsnClass::Fallback,
-            _ => InsnClass::Straight,
-        },
+        Insn::Msr {
+            sr: SysReg::Ttbr0El1 | SysReg::Ttbr1El1,
+            ..
+        }
+        | Insn::Mrs {
+            sr: SysReg::CntvctEl0,
+            ..
+        } => InsnClass::Fallback,
         Insn::Str { .. } | Insn::Stp { .. } => InsnClass::Store,
         _ => InsnClass::Straight,
     }

@@ -781,15 +781,7 @@ impl Cpu {
             // whole stitched block sequences (and loops internally)
             // without touching the block cache again.
             if self.trace_engine {
-                match self.try_trace(
-                    mem,
-                    &ctx,
-                    pc,
-                    pa,
-                    generation,
-                    &mut acc_cycles,
-                    &mut acc_insns,
-                ) {
+                match self.try_trace(mem, &ctx, pc, pa, &mut acc_cycles, &mut acc_insns) {
                     TraceOutcome::NotEntered => {}
                     TraceOutcome::Continued => {
                         // The trace left via a guard with the PC
@@ -797,7 +789,7 @@ impl Cpu {
                         // exit (same-page targets reuse the open walk,
                         // cross-page targets take a fresh one).
                         let next = self.state.pc;
-                        if next % 4 != 0 || next == CALL_SENTINEL {
+                        if !next.is_multiple_of(4) || next == CALL_SENTINEL {
                             break;
                         }
                         if next ^ pc < PAGE_SIZE {
@@ -1000,7 +992,7 @@ impl Cpu {
             // sentinel end the call; the next call raises the fault or
             // reports the return.
             let next = self.state.pc;
-            if next % 4 != 0 || next == CALL_SENTINEL {
+            if !next.is_multiple_of(4) || next == CALL_SENTINEL {
                 break;
             }
             if next ^ pc < PAGE_SIZE {

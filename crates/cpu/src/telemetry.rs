@@ -374,7 +374,7 @@ impl TelemetryEmitter {
         if self.pending.ops >= self.window_ops {
             if self.ring.try_push(&self.pending) {
                 self.pending = StatWindow::new(self.pending.tenant, self.pending.seq + 1);
-            } else if self.pending.ops % self.window_ops == 0 {
+            } else if self.pending.ops.is_multiple_of(self.window_ops) {
                 // Count distinct full boundaries, not the per-op retries
                 // between them — this is a ring-sizing signal.
                 self.coalesced += 1;

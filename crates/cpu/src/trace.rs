@@ -71,6 +71,37 @@
 //! exits land exactly where they would unfused, and refunds the charge
 //! of any access it did not reach.
 //!
+//! # Folds
+//!
+//! One build-time pass over each block (see `fold_block`) collapses the
+//! instruction shapes Camouflage adds to every call and every kernel
+//! entry into single ops. Besides merging immediate adds/subs that
+//! accumulate into one register, it folds four shapes:
+//!
+//! 1. `MOVZ`/`MOVN`/`ADR` followed by `MOVK`s into the same register →
+//!    one constant;
+//! 2. that constant followed by `MSR sr, rX` of the same register → one
+//!    op that writes both (the XOM key setter's step per key half);
+//! 3. a constant into rA, an optional `MOV rB, rS` (`ADD #0`), `BFM rA ←
+//!    rB`, then `PAC*`/`AUT*` with modifier rA → one op through the
+//!    site's PAC memo (the modifier construction of Listing 3 and of the
+//!    data-pointer accessors);
+//! 4. an immediate add/sub into rX that ends a block body, followed by
+//!    the block's `CBZ`/`CBNZ` on rX → one guard op (a loop counter).
+//!
+//! A fused op charges the summed cycles and instruction count of what it
+//! replaced, and the pass is exact by construction. It recognises shapes
+//! from each op's decoded `insn`, never from handler pointers (the
+//! linker may merge identical handlers). No fold crosses a block start,
+//! so every loop-edge target is still the first op of its block. Only a
+//! shape's last instruction may fault or leave the trace (a trapped
+//! `MSR`, a failed guard), so the effects of the members before it are
+//! exactly the step path's. A fused op keeps the VA of its *first*
+//! instruction, because the loop edge resumes at `ops[target].va`; a
+//! trap or guard derives its own instruction's VA as `va + 4·(count−1)`.
+//! Aliasing registers (a copy or `BFM` source equal to rA, `XZR`/`SP`
+//! destinations) leave a shape unfused.
+//!
 //! # Entry validation and invalidation
 //!
 //! At trace entry the engine checks, in order: the entry `(pa, va)` pair,
@@ -204,7 +235,8 @@ pub(crate) struct TraceOp {
     va: u64,
     /// The next PC the recording observed — the guard's prediction.
     expected: u64,
-    /// Precomputed taken-branch target for PC-relative branches.
+    /// Precomputed taken-branch target for PC-relative branches (the
+    /// `BFM` rotation of a folded modifier).
     target: u64,
     /// First pre-folded operand payload (constant, folded immediate,
     /// field shift …).
@@ -214,8 +246,8 @@ pub(crate) struct TraceOp {
     /// Cost-model cycles, precomputed at build time (the sum over every
     /// folded instruction for a superop).
     cycles: u32,
-    /// Architectural instructions this op retires (1, or the run length
-    /// of a folded superop — see `fold_imm_accum` in `finalize_trace`).
+    /// Architectural instructions this op retires (1, or the length of
+    /// the shape a fused op replaced — see [`fold_block`]).
     count: u16,
     pass: Pass,
     /// Index into the trace's PAC-site memos, translation memos (memory
@@ -225,6 +257,8 @@ pub(crate) struct TraceOp {
     rd: Reg,
     rn: Reg,
     rm: Reg,
+    /// Fourth register operand: the copy source of a folded modifier.
+    rs: Reg,
     key: PacKey,
     mode: AddrMode,
     pmode: PairMode,
@@ -394,7 +428,6 @@ impl Cpu {
         ctx: &TranslationCtx,
         pc: u64,
         pa: u64,
-        generation: u64,
         acc_cycles: &mut u64,
         acc_insns: &mut u64,
     ) -> TraceOutcome {
@@ -415,6 +448,9 @@ impl Cpu {
                 return TraceOutcome::NotEntered;
             }
         }
+        // No instruction changes the translation generation, so this is
+        // the value the calling `run_block` started under.
+        let generation = mem.translation_generation();
         if tr.generation != generation {
             // The translation configuration moved since the stamps. Re-run
             // the fetch-permission walk for every constituent page under
@@ -545,54 +581,30 @@ impl Cpu {
             if ops.len() + block.body.len() + usize::from(b.has_term) > MAX_TRACE_OPS {
                 break;
             }
-            starts.push((b.va, ops.len() as u32));
-            // Superops never span blocks: jump targets are block starts,
-            // which must stay addressable.
-            let mut body: Vec<TraceOp> = Vec::with_capacity(block.body.len());
-            for (i, insn) in block.body.iter().enumerate() {
-                let op = make_op(insn, b.va + 4 * i as u64, &self.cost, &mut sites, &mut mems);
-                // Superop folding: a run of immediate adds/subs
-                // accumulating into one register collapses into a single
-                // op — the intermediate values are unobservable (no
-                // guards, faults or exits between them), the final value
-                // is the same wrapping sum, and the folded op charges the
-                // run's summed cycles and instruction count.
-                if let Some(prev) = body.last_mut() {
-                    if let (Some((rp, ap)), Some((ro, ao))) = (imm_accum(prev), imm_accum(&op)) {
-                        if rp == ro {
-                            prev.exec = op_add_imm;
-                            prev.insn = Insn::AddImm {
-                                rd: rp,
-                                rn: rp,
-                                imm12: 0,
-                                shifted: false,
-                            };
-                            prev.imm = ap.wrapping_add(ao);
-                            prev.cycles += op.cycles;
-                            prev.count += op.count;
-                            continue;
-                        }
-                    }
-                }
-                body.push(op);
+            let end = b.va + 4 * block.body.len() as u64;
+            if block.terminator.is_none() && b.next != end {
+                // A page-boundary fall-through: the recorded next must be
+                // the fall-through PC or the bytes changed.
+                break;
             }
+            starts.push((b.va, ops.len() as u32));
+            let body: Vec<TraceOp> = block
+                .body
+                .iter()
+                .enumerate()
+                .map(|(i, insn)| {
+                    make_op(insn, b.va + 4 * i as u64, &self.cost, &mut sites, &mut mems)
+                })
+                .collect();
+            let term = block
+                .terminator
+                .map(|term| make_term(&term, end, b.next, &self.cost, &mut sites, &mut mems));
+            let (body, term) = fold_block(&body, term);
             fuse_mem_runs(&body, &mut ops, &mut runs, &mut mems);
-            match block.terminator {
-                Some(term) => {
-                    let va = b.va + 4 * block.body.len() as u64;
-                    ops.push(make_term(
-                        &term, va, b.next, &self.cost, &mut sites, &mut mems,
-                    ));
-                    kept = ops.len();
-                    last_next = b.next;
-                }
-                None => {
-                    // A page-boundary fall-through: the recorded next must
-                    // be the fall-through PC or the bytes changed.
-                    if b.next != b.va + 4 * block.body.len() as u64 {
-                        break;
-                    }
-                }
+            if let Some(term) = term {
+                ops.push(term);
+                kept = ops.len();
+                last_next = b.next;
             }
         }
         ops.truncate(kept);
@@ -652,19 +664,210 @@ impl Cpu {
     }
 }
 
-/// The add-form accumulation `(register, wrapping delta)` of an op, when
-/// it is a pure immediate add/sub into its own source register — the
-/// shape the superop folding in [`Cpu::finalize_trace`] merges. A folded
-/// op is normalized to `AddImm` (its `imm` field is authoritative; the
-/// `imm12` in the normalized `insn` is not meaningful).
-fn imm_accum(op: &TraceOp) -> Option<(Reg, u64)> {
-    match op.insn {
-        Insn::AddImm { rd, rn, .. } if rd == rn && rd != Reg::Xzr => Some((rd, op.imm)),
-        Insn::SubImm { rd, rn, .. } if rd == rn && rd != Reg::Xzr => {
-            Some((rd, op.imm.wrapping_neg()))
+/// The build-time fold pass over one block (see the module docs' *Folds*):
+/// folds the body's shapes, then merges a counter update that ends the
+/// body into the block's `CBZ`/`CBNZ`. Folds stay inside the block, so its
+/// first op — a possible loop-edge target — keeps the block's entry VA.
+fn fold_block(body: &[TraceOp], term: Option<TraceOp>) -> (Vec<TraceOp>, Option<TraceOp>) {
+    let mut out = Vec::with_capacity(body.len());
+    let mut i = 0;
+    while i < body.len() {
+        let (op, used) = fold_at(&body[i..]);
+        out.push(op);
+        i += used;
+    }
+    let term = term.map(
+        |t| match out.last().and_then(|last| fold_counter(last, &t)) {
+            Some(fused) => {
+                out.pop();
+                fused
+            }
+            None => t,
+        },
+    );
+    (out, term)
+}
+
+/// Folds the longest shape starting at `ops[0]`; returns the op and how
+/// many ops it replaced.
+fn fold_at(ops: &[TraceOp]) -> (TraceOp, usize) {
+    if let Some((ra, c, n)) = constant(ops) {
+        if let Some(&msr) = ops.get(n) {
+            if matches!(msr.insn, Insn::Msr { rt, .. } if rt == ra) {
+                // Shape 2: the key setter's constant + `MSR`.
+                let mut op = fused(&ops[..=n]);
+                op.exec = op_const_msr;
+                op.rd = ra;
+                op.sr = msr.sr;
+                op.imm = c;
+                return (op, n + 1);
+            }
         }
+        if let Some(folded) = fold_modifier(ops, ra, c, n) {
+            return folded;
+        }
+        // Shape 1: the constant alone.
+        let mut op = fused(&ops[..n]);
+        op.imm = c;
+        return (op, n);
+    }
+    if let Some((r, mut delta)) = imm_accum(&ops[0]) {
+        // Immediate adds/subs accumulating into one register: the
+        // intermediate values are unobservable, the final value is the
+        // same wrapping sum. The fused op is normalized to `AddImm` (its
+        // `imm` is authoritative; the `imm12` in its `insn` is not).
+        let mut n = 1;
+        while let Some((rn, d)) = ops.get(n).and_then(imm_accum) {
+            if rn != r {
+                break;
+            }
+            delta = delta.wrapping_add(d);
+            n += 1;
+        }
+        if n > 1 {
+            let mut op = fused(&ops[..n]);
+            op.exec = op_add_imm;
+            op.insn = Insn::AddImm {
+                rd: r,
+                rn: r,
+                imm12: 0,
+                shifted: false,
+            };
+            op.rd = r;
+            op.rn = r;
+            op.imm = delta;
+            return (op, n);
+        }
+    }
+    (ops[0], 1)
+}
+
+/// Shape 3 after the constant `c` in `ra` (`ops[..n]`): an optional `MOV
+/// rB, rS` (`ADD rB, rS, #0`), `BFM ra ← rB`, then `PAC*`/`AUT*` whose
+/// modifier register is `ra`. The fused op writes rB, then ra, then
+/// signs or authenticates — the order the step path writes them in.
+fn fold_modifier(ops: &[TraceOp], ra: Reg, c: u64, n: usize) -> Option<(TraceOp, usize)> {
+    let mut k = n;
+    let mut copy = None;
+    if let Some(op) = ops.get(k) {
+        if matches!(op.insn, Insn::AddImm { .. }) && op.imm == 0 && op.rd != ra && op.rn != ra {
+            copy = Some((op.rd, op.rn));
+            k += 1;
+        }
+    }
+    let bfm = ops.get(k)?;
+    let Insn::Bfm { rd, rn, immr, imms } = bfm.insn else {
+        return None;
+    };
+    let (rb, rs) = copy.unwrap_or((rn, rn));
+    if rd != ra || rn != rb || rn == ra || matches!(rb, Reg::Xzr | Reg::Sp) {
+        return None;
+    }
+    let auth = ops.get(k + 1)?;
+    let exec: OpFn = match auth.insn {
+        Insn::Pac { .. } | Insn::Pac1716 { .. } => op_mod_pac,
+        Insn::Aut { .. } | Insn::Aut1716 { .. } => op_mod_aut,
+        _ => return None,
+    };
+    if auth.rn != ra {
+        return None;
+    }
+    // One rotate covers both BFM shapes: the field lands where the mask
+    // says, in the low bits (BFXIL) or at `64 - immr` (BFI).
+    let (r, s) = (u32::from(immr), u32::from(imms));
+    let mask = if s >= r {
+        mask_lo(s - r + 1)
+    } else {
+        mask_lo(s + 1) << (64 - r)
+    };
+    let mut op = fused(&ops[..k + 2]);
+    op.exec = exec;
+    op.rd = auth.rd;
+    op.rn = ra;
+    op.rm = rb;
+    op.rs = rs;
+    op.key = auth.key;
+    op.site = auth.site;
+    op.imm = c & !mask;
+    op.imm2 = mask;
+    op.target = u64::from(r);
+    Some((op, k + 2))
+}
+
+/// Shape 4: `last` (the body's final op) adds an immediate into the
+/// register the block's `CBZ`/`CBNZ` tests. The fused guard keeps the
+/// add's VA and derives the branch's own fall-through from `count`.
+fn fold_counter(last: &TraceOp, term: &TraceOp) -> Option<TraceOp> {
+    let exec: OpFn = match term.insn {
+        Insn::Cbz { .. } => op_count_cbz,
+        Insn::Cbnz { .. } => op_count_cbnz,
+        _ => return None,
+    };
+    let (rd, rn, delta) = imm_add(last)?;
+    if rd != term.rd || matches!(rd, Reg::Xzr | Reg::Sp) {
+        return None;
+    }
+    let mut op = *term;
+    op.exec = exec;
+    op.insn = last.insn;
+    op.va = last.va;
+    op.rd = rd;
+    op.rn = rn;
+    op.imm = delta;
+    op.cycles += last.cycles;
+    op.count += last.count;
+    Some(op)
+}
+
+/// The constant a `MOVZ`/`MOVN`/`ADR` at `ops[0]` and the `MOVK`s into the
+/// same register after it build: `(register, value, ops used)`.
+fn constant(ops: &[TraceOp]) -> Option<(Reg, u64, usize)> {
+    let first = &ops[0];
+    if !matches!(
+        first.insn,
+        Insn::Movz { .. } | Insn::Movn { .. } | Insn::Adr { .. }
+    ) || matches!(first.rd, Reg::Xzr | Reg::Sp)
+    {
+        return None;
+    }
+    let mut c = first.imm;
+    let mut n = 1;
+    while let Some(op) = ops.get(n) {
+        if !matches!(op.insn, Insn::Movk { rd, .. } if rd == first.rd) {
+            break;
+        }
+        c = (c & op.imm2) | op.imm;
+        n += 1;
+    }
+    Some((first.rd, c, n))
+}
+
+/// `members[0]` charging the summed cycles and instruction count of all
+/// `members` (it keeps the first member's VA).
+fn fused(members: &[TraceOp]) -> TraceOp {
+    let mut op = members[0];
+    op.cycles = members.iter().map(|m| m.cycles).sum();
+    op.count = members.iter().map(|m| m.count).sum();
+    op
+}
+
+/// The add form `(rd, rn, wrapping delta)` of an immediate `ADD`/`SUB`
+/// (a folded accumulation is normalized to `AddImm`, its `imm`
+/// authoritative).
+fn imm_add(op: &TraceOp) -> Option<(Reg, Reg, u64)> {
+    match op.insn {
+        Insn::AddImm { rd, rn, .. } => Some((rd, rn, op.imm)),
+        Insn::SubImm { rd, rn, .. } => Some((rd, rn, op.imm.wrapping_neg())),
         _ => None,
     }
+}
+
+/// The accumulation `(register, delta)` of an immediate add/sub into its
+/// own source register.
+fn imm_accum(op: &TraceOp) -> Option<(Reg, u64)> {
+    imm_add(op)
+        .filter(|&(rd, rn, _)| rd == rn && rd != Reg::Xzr)
+        .map(|(rd, _, delta)| (rd, delta))
 }
 
 /// The memory-run shape of an op, `(base, offset, access)`, when it can
@@ -740,11 +943,9 @@ fn fuse_mem_runs(body: &[TraceOp], ops: &mut Vec<TraceOp>, runs: &mut Vec<MemRun
                 rt2: m.rm,
             })
             .collect();
-        let mut op = members[0];
+        let mut op = fused(members);
         op.exec = op_mem_run;
         op.site = runs.len() as u16;
-        op.cycles = members.iter().map(|m| m.cycles).sum();
-        op.count = members.iter().map(|m| m.count).sum();
         runs.push(MemRun {
             lo: lo as u64,
             span: (hi - lo) as u64,
@@ -790,6 +991,7 @@ fn make_op(insn: &Insn, va: u64, cost: &CostModel, sites: &mut u16, mems: &mut u
         rd: Reg::Xzr,
         rn: Reg::Xzr,
         rm: Reg::Xzr,
+        rs: Reg::Xzr,
         key: PacKey::IA,
         mode: AddrMode::Unsigned(0),
         pmode: PairMode::SignedOffset(0),
@@ -1534,11 +1736,32 @@ fn op_msr(
     op: &TraceOp,
     tc: &mut TraceCtx,
 ) -> OpOutcome {
+    msr(cpu, op, tc, op.va)
+}
+
+/// Shape 2 of the fold pass: the constant `imm` into `rd`, then `MSR sr,
+/// rd`. At EL0 the `MSR` traps at its own VA with the constant already
+/// written, exactly as the unfused pair would.
+fn op_const_msr(
+    cpu: &mut Cpu,
+    _mem: &mut Memory,
+    _ctx: &TranslationCtx,
+    op: &TraceOp,
+    tc: &mut TraceCtx,
+) -> OpOutcome {
+    cpu.state.write(op.rd, op.imm);
+    msr(cpu, op, tc, op.va + 4 * (u64::from(op.count) - 1))
+}
+
+/// `MSR op.sr, op.rd` at `va`: the EL0 trap, the key-write count and the
+/// system-register write of the step semantics.
+#[inline]
+fn msr(cpu: &mut Cpu, op: &TraceOp, tc: &mut TraceCtx, va: u64) -> OpOutcome {
     if cpu.state.el != El::El1 && op.sr != SysReg::CntvctEl0 {
-        cpu.take_exception(ec::TRAPPED_MSR, 0, op.va, None, false);
+        cpu.take_exception(ec::TRAPPED_MSR, 0, va, None, false);
         tc.exit = Some(Ok(Step::FaultTaken {
             fault: MemFault::Permission {
-                va: op.va,
+                va,
                 access: AccessType::Write,
                 el: El::El0,
             },
@@ -1687,6 +1910,43 @@ fn op_cbnz(
     guard(cpu, op, actual)
 }
 
+/// Shape 4 of the fold pass: `rd = rn + imm`, then `CBZ rd`. The op keeps
+/// the add's VA, so the branch falls through to `va + 4·count`.
+fn op_count_cbz(
+    cpu: &mut Cpu,
+    _mem: &mut Memory,
+    _ctx: &TranslationCtx,
+    op: &TraceOp,
+    _tc: &mut TraceCtx,
+) -> OpOutcome {
+    let v = cpu.state.read(op.rn).wrapping_add(op.imm);
+    cpu.state.write(op.rd, v);
+    let actual = if v == 0 {
+        op.target
+    } else {
+        op.va + 4 * u64::from(op.count)
+    };
+    guard(cpu, op, actual)
+}
+
+/// Shape 4 with `CBNZ` (the countdown loop's back edge).
+fn op_count_cbnz(
+    cpu: &mut Cpu,
+    _mem: &mut Memory,
+    _ctx: &TranslationCtx,
+    op: &TraceOp,
+    _tc: &mut TraceCtx,
+) -> OpOutcome {
+    let v = cpu.state.read(op.rn).wrapping_add(op.imm);
+    cpu.state.write(op.rd, v);
+    let actual = if v != 0 {
+        op.target
+    } else {
+        op.va + 4 * u64::from(op.count)
+    };
+    guard(cpu, op, actual)
+}
+
 /// The site-memoized PAC sign: architecturally identical to
 /// [`Cpu::do_pac`] (same NOP-when-disabled rule, same counter), with the
 /// whole computation served from the site when the inputs repeat.
@@ -1811,6 +2071,59 @@ fn op_aut(
     OpOutcome::Next
 }
 
+/// The modifier a shape-3 fold builds: the copy `rm ← rs` (a plain
+/// rewrite of `rm` when the shape had no copy), then `rn ← BFM(constant,
+/// rm)` — `imm` is the constant with the field cleared, `imm2` the field
+/// mask, `target` the `BFM` rotation.
+#[inline]
+fn build_modifier(cpu: &mut Cpu, op: &TraceOp) -> u64 {
+    let src = cpu.state.read(op.rs);
+    cpu.state.write(op.rm, src);
+    let modifier = op.imm | (src.rotate_right(op.target as u32) & op.imm2);
+    cpu.state.write(op.rn, modifier);
+    modifier
+}
+
+/// Shape 3 of the fold pass, signing: build the modifier, then `PAC*`
+/// through the site memo. A disabled key leaves the sign a NOP, the
+/// modifier registers still written.
+fn op_mod_pac(
+    cpu: &mut Cpu,
+    _mem: &mut Memory,
+    _ctx: &TranslationCtx,
+    op: &TraceOp,
+    tc: &mut TraceCtx,
+) -> OpOutcome {
+    let modifier = build_modifier(cpu, op);
+    site_pac(
+        cpu,
+        &mut tc.sites[usize::from(op.site)],
+        op.key,
+        op.rd,
+        modifier,
+    );
+    OpOutcome::Next
+}
+
+/// Shape 3 of the fold pass, authenticating.
+fn op_mod_aut(
+    cpu: &mut Cpu,
+    _mem: &mut Memory,
+    _ctx: &TranslationCtx,
+    op: &TraceOp,
+    tc: &mut TraceCtx,
+) -> OpOutcome {
+    let modifier = build_modifier(cpu, op);
+    site_aut(
+        cpu,
+        &mut tc.sites[usize::from(op.site)],
+        op.key,
+        op.rd,
+        modifier,
+    );
+    OpOutcome::Next
+}
+
 fn op_pac_sp(
     cpu: &mut Cpu,
     _mem: &mut Memory,
@@ -1901,4 +2214,240 @@ fn op_bra(
         modifier,
     );
     guard(cpu, op, actual)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use camo_isa::{encode, PauthKey, Reg};
+    use camo_mem::{S1Attr, KERNEL_BASE};
+    use camo_qarma::QarmaKey;
+
+    const CALL_LOOP: u64 = KERNEL_BASE + 0x100;
+
+    /// `BFI x16, x17, #32, #32` of Listing 3.
+    fn listing3_bfi() -> Insn {
+        Insn::bfi(Reg::IP0, Reg::IP1, 32, 32)
+    }
+
+    /// The empty function of Figure 2 under Camouflage: the Listing 3
+    /// modifier and `PACIB` in the prologue, the frame record, and the
+    /// modifier and `AUTIB` in the epilogue.
+    fn empty_fn() -> Vec<Insn> {
+        vec![
+            Insn::Adr {
+                rd: Reg::IP0,
+                offset: 0,
+            },
+            Insn::mov_sp(Reg::IP1, Reg::Sp),
+            listing3_bfi(),
+            Insn::Pac {
+                key: PacKey::IB,
+                rd: Reg::LR,
+                rn: Reg::IP0,
+            },
+            Insn::Stp {
+                rt: Reg::FP,
+                rt2: Reg::LR,
+                rn: Reg::Sp,
+                mode: PairMode::Pre(-16),
+            },
+            Insn::mov_sp(Reg::FP, Reg::Sp),
+            Insn::Ldp {
+                rt: Reg::FP,
+                rt2: Reg::LR,
+                rn: Reg::Sp,
+                mode: PairMode::Post(16),
+            },
+            Insn::Adr {
+                rd: Reg::IP0,
+                offset: -4 * 7,
+            },
+            Insn::mov_sp(Reg::IP1, Reg::Sp),
+            listing3_bfi(),
+            Insn::Aut {
+                key: PacKey::IB,
+                rd: Reg::LR,
+                rn: Reg::IP0,
+            },
+            Insn::ret(),
+        ]
+    }
+
+    /// The uninstrumented loop calling the empty function `x0` times.
+    fn call_loop() -> Vec<Insn> {
+        vec![
+            Insn::mov(Reg::x(19), Reg::LR),
+            Insn::mov(Reg::x(20), Reg::x(0)),
+            Insn::Bl {
+                offset: (KERNEL_BASE as i64 - (CALL_LOOP + 8) as i64) as i32,
+            },
+            Insn::SubImm {
+                rd: Reg::x(20),
+                rn: Reg::x(20),
+                imm12: 1,
+                shifted: false,
+            },
+            Insn::Cbnz {
+                rt: Reg::x(20),
+                offset: -8,
+            },
+            Insn::mov(Reg::LR, Reg::x(19)),
+            Insn::ret(),
+        ]
+    }
+
+    /// A core with the empty function at [`KERNEL_BASE`], the call loop
+    /// at [`CALL_LOOP`] and a stack page above the text.
+    fn fig2_machine() -> (Cpu, Memory) {
+        let mut mem = Memory::new();
+        let table = mem.new_table();
+        let text = mem.map_new(table, KERNEL_BASE, S1Attr::kernel_text());
+        let stack = KERNEL_BASE + PAGE_SIZE;
+        mem.map_new(table, stack, S1Attr::kernel_data());
+        for (base, code) in [(0, empty_fn()), (CALL_LOOP - KERNEL_BASE, call_loop())] {
+            for (i, insn) in code.iter().enumerate() {
+                mem.phys_mut()
+                    .write_u32(text.base() + base + 4 * i as u64, encode(insn))
+                    .unwrap();
+            }
+        }
+        let mut cpu = Cpu::default();
+        cpu.state.set_sysreg(SysReg::Ttbr0El1, table.raw());
+        cpu.state.set_sysreg(SysReg::Ttbr1El1, table.raw());
+        cpu.state.set_pauth_key(PauthKey::IB, QarmaKey::new(13, 14));
+        cpu.state.sp_el1 = stack + PAGE_SIZE - 64;
+        (cpu, mem)
+    }
+
+    #[test]
+    fn trace_op_stays_96_bytes() {
+        assert_eq!(std::mem::size_of::<TraceOp>(), 96);
+    }
+
+    /// The Figure-2 loop is one trace of 15 instructions per call: the
+    /// empty function (11 body ops + `RET`), the call loop's `SUB`+`CBNZ`
+    /// and its `BL`. The two modifier sequences fold to one op each and
+    /// the counter joins its branch, so the trace dispatches 8 ops — and
+    /// stays bit-identical to the step path.
+    #[test]
+    fn fig2_call_loop_folds_fifteen_instructions_into_eight_ops() {
+        const ITERS: u64 = 200;
+        let (mut cpu, mut mem) = fig2_machine();
+        let traced = cpu.call(&mut mem, CALL_LOOP, &[ITERS], 1 << 20).unwrap();
+        let trace = cpu
+            .trace_cache
+            .iter()
+            .flatten()
+            .find(|t| t.entry_va == KERNEL_BASE)
+            .expect("the call loop promoted into a trace headed by the callee");
+        let counts: Vec<u16> = trace.ops.iter().map(|op| op.count).collect();
+        assert_eq!(counts, [4, 1, 1, 1, 4, 1, 2, 1], "ops per fused shape");
+        assert_eq!(counts.iter().map(|&c| u64::from(c)).sum::<u64>(), 15);
+
+        let (mut step, mut step_mem) = fig2_machine();
+        step.set_block_engine(false);
+        step.set_caching(false);
+        step_mem.set_caching(false);
+        let reference = step
+            .call(&mut step_mem, CALL_LOOP, &[ITERS], 1 << 20)
+            .unwrap();
+        assert_eq!(traced, reference);
+        assert_eq!(cpu.state.gprs, step.state.gprs);
+        assert!(cpu.stats().arch_eq(&step.stats()));
+    }
+
+    /// Folds `insns` as one block body at [`KERNEL_BASE`] with `term`
+    /// closing it; returns each resulting op's `count`.
+    fn fold_counts(insns: &[Insn], term: Option<Insn>) -> Vec<u16> {
+        let cost = CostModel::default();
+        let (mut sites, mut mems) = (0, 0);
+        let body: Vec<TraceOp> = insns
+            .iter()
+            .enumerate()
+            .map(|(i, insn)| {
+                make_op(
+                    insn,
+                    KERNEL_BASE + 4 * i as u64,
+                    &cost,
+                    &mut sites,
+                    &mut mems,
+                )
+            })
+            .collect();
+        let end = KERNEL_BASE + 4 * insns.len() as u64;
+        let term = term.map(|t| make_term(&t, end, end + 4, &cost, &mut sites, &mut mems));
+        let (body, term) = fold_block(&body, term);
+        body.iter().chain(&term).map(|op| op.count).collect()
+    }
+
+    fn movz(rd: Reg, imm16: u16) -> Insn {
+        Insn::Movz {
+            rd,
+            imm16,
+            shift: 0,
+        }
+    }
+
+    fn movk(rd: Reg, imm16: u16, shift: u8) -> Insn {
+        Insn::Movk { rd, imm16, shift }
+    }
+
+    fn pacdb(rd: Reg, rn: Reg) -> Insn {
+        Insn::Pac {
+            key: PacKey::DB,
+            rd,
+            rn,
+        }
+    }
+
+    /// Each shape folds whole, and each aliasing variant stays unfused.
+    #[test]
+    fn fold_pass_takes_exact_shapes_only() {
+        let (x0, x1, x8, x9) = (Reg::x(0), Reg::x(1), Reg::x(8), Reg::x(9));
+        let key_half = [
+            movz(x0, 1),
+            movk(x0, 2, 1),
+            movk(x0, 3, 2),
+            movk(x0, 4, 3),
+            Insn::Msr {
+                sr: SysReg::ApibKeyLoEl1,
+                rt: x0,
+            },
+        ];
+        assert_eq!(fold_counts(&key_half, None), [5]);
+        // A MOVK into another register ends the constant, and the MOVK
+        // and MSR after it have no constant to join.
+        let mut other = key_half;
+        other[2] = movk(x1, 3, 2);
+        assert_eq!(fold_counts(&other, None), [2, 1, 1, 1]);
+        // Data-pointer modifier: MOVZ type; BFI obj; PACDB.
+        let data = [movz(x9, 0xFB45), Insn::bfi(x9, x0, 16, 48), pacdb(x8, x9)];
+        assert_eq!(fold_counts(&data, None), [3]);
+        // BFM source equal to rA, or the sign using another modifier.
+        let self_bfm = [movz(x9, 1), Insn::bfi(x9, x9, 16, 48), pacdb(x8, x9)];
+        assert_eq!(fold_counts(&self_bfm, None), [1, 1, 1]);
+        let other_mod = [movz(x9, 1), Insn::bfi(x9, x0, 16, 48), pacdb(x8, x1)];
+        assert_eq!(fold_counts(&other_mod, None), [1, 1, 1]);
+        // The copy source equal to rA, or an XZR constant.
+        let copy_ra = [
+            movz(x9, 1),
+            Insn::mov_sp(x1, x9),
+            Insn::bfi(x9, x1, 32, 32),
+            pacdb(x8, x9),
+        ];
+        assert_eq!(fold_counts(&copy_ra, None), [1, 1, 1, 1]);
+        let zr = [movz(Reg::Xzr, 1), Insn::bfi(Reg::Xzr, x0, 16, 48)];
+        assert_eq!(fold_counts(&zr, None), [1, 1]);
+        // The counter joins its branch only when the branch tests it.
+        let count = [Insn::SubImm {
+            rd: x0,
+            rn: x0,
+            imm12: 1,
+            shifted: false,
+        }];
+        let cbnz = |rt| Insn::Cbnz { rt, offset: -4 };
+        assert_eq!(fold_counts(&count, Some(cbnz(x0))), [2]);
+        assert_eq!(fold_counts(&count, Some(cbnz(x1))), [1, 1]);
+    }
 }

@@ -41,10 +41,13 @@ fn distinct() -> CpuStats {
     }
 }
 
+/// One counter: its name, its accessor, and whether it is architectural.
+type Field = (&'static str, fn(&mut CpuStats) -> &mut u64, bool);
+
 /// Field accessors, one per counter, used to sweep "flip exactly one
 /// field" scenarios. Paired with `distinct()`, this list is the runtime
 /// half of the audit: it must name all 22 fields.
-fn fields() -> Vec<(&'static str, fn(&mut CpuStats) -> &mut u64, bool)> {
+fn fields() -> Vec<Field> {
     // (name, accessor, architectural?) — architectural fields are the
     // ones arch_eq compares; the rest are observability-only and must
     // NOT affect arch_eq (engines and caches may legally change them).

@@ -2,7 +2,8 @@
 //! engines, counter behaviour, and every invalidation edge re-proven for
 //! traces — self-modifying code inside and across trace pages, unmapping
 //! (the module-unload shape), stage-2 execute revocation, generation
-//! re-stamping, slot recycling, and the per-call retirement bound.
+//! re-stamping, slot recycling, the per-call retirement bound, fused
+//! memory runs, and the build-time folds of the Camouflage shapes.
 
 use camo_cpu::{trace, Cpu, CpuStats, Step};
 use camo_isa::{encode, AddrMode, Insn, PacKey, PairMode, Reg, SysReg};
@@ -556,7 +557,7 @@ fn recycled_trace_slot_never_serves_the_evicted_trace() {
                 .unwrap();
         }
     }
-    let mut run_loop = |cpu: &mut Cpu, mem: &mut Memory, va: u64| {
+    let run_loop = |cpu: &mut Cpu, mem: &mut Memory, va: u64| {
         cpu.state.pc = va;
         cpu.state.gprs[0] = 300;
         cpu.state.gprs[1] = 0;
@@ -961,8 +962,7 @@ proptest! {
         let run = |traced: bool| {
             let (mut cpu, mut mem) = machine(&program);
             if !traced {
-                cpu.set_caching(false);
-                mem.set_caching(false);
+                make_reference(&mut cpu, &mut mem);
             }
             for r in 1..=8 {
                 cpu.state.gprs[r] = seed.rotate_left(8 * r as u32) ^ r as u64;
@@ -979,4 +979,518 @@ proptest! {
         prop_assert!(data_bytes(&cpu_t, &mem_t) == data_bytes(&cpu_s, &mem_s));
         prop_assert!(cpu_t.stats().trace_hits > 0);
     }
+}
+
+// ---------------------------------------------------------------------
+// Build-time folds. Trace finalization collapses constant-building
+// `MOVZ/MOVN/ADR + MOVK`s, the key setter's constant + `MSR`, the
+// modifier construction + `PAC*/AUT*`, and a counter update + its
+// `CBZ/CBNZ` into single ops. Each test runs a traced core against a
+// caches-off step core — the reference every engine is gated against —
+// and compares registers, system registers, cycles, architectural
+// counters and the touched memory.
+// ---------------------------------------------------------------------
+
+/// Turns `cpu`/`mem` into the caches-off step reference.
+fn make_reference(cpu: &mut Cpu, mem: &mut Memory) {
+    cpu.set_block_engine(false);
+    cpu.set_caching(false);
+    mem.set_caching(false);
+}
+
+/// Registers, system registers, cycles, counters and the data pages of
+/// `a` and the reference `b` agree.
+fn assert_state_identical(a: (&Cpu, &Memory), b: (&Cpu, &Memory)) {
+    assert_arch_identical(a.0, b.0);
+    for sr in SysReg::ALL {
+        assert_eq!(a.0.state.sysreg(sr), b.0.state.sysreg(sr), "{sr:?}");
+    }
+    assert_eq!(
+        (a.0.state.el, a.0.state.sp_el0, a.0.state.sp_el1),
+        (b.0.state.el, b.0.state.sp_el0, b.0.state.sp_el1)
+    );
+    assert!(
+        data_bytes(a.0, a.1) == data_bytes(b.0, b.1),
+        "memory diverged"
+    );
+}
+
+/// Runs `program` on a traced core and on the reference, each from
+/// `KERNEL_BASE` with `x0 = iters` after `init`, to the closing
+/// `BRK #0x42`; checks they agree and returns the traced core.
+fn fold_arms(program: &[Insn], iters: u64, init: impl Fn(&mut Cpu)) -> Cpu {
+    let run = |traced: bool| {
+        let (mut cpu, mut mem) = machine(program);
+        if !traced {
+            make_reference(&mut cpu, &mut mem);
+        }
+        init(&mut cpu);
+        cpu.state.gprs[0] = iters;
+        drive(&mut cpu, &mut mem, traced);
+        (cpu, mem)
+    };
+    let (cpu_t, mem_t) = run(true);
+    let (cpu_s, mem_s) = run(false);
+    assert_state_identical((&cpu_t, &mem_t), (&cpu_s, &mem_s));
+    assert!(cpu_t.stats().trace_hits > 0, "the loop ran as a trace");
+    cpu_t
+}
+
+/// True for one value of `r` in `n`: a generator's 1-in-`n` choice.
+fn one_in(r: u64, n: u64) -> bool {
+    r.is_multiple_of(n)
+}
+
+/// Registers the random fold bodies draw from: x1..x12 and the IP pair
+/// (x0 is the loop counter, x19 the data base).
+fn fold_reg(r: u64) -> Reg {
+    match r % 14 {
+        12 => Reg::IP0,
+        13 => Reg::IP1,
+        n => Reg::x(1 + n as u8),
+    }
+}
+
+/// `MSR` targets of the random bodies: every key half, the `SCTLR` key
+/// enables, and registers a kernel entry path writes.
+const MSR_TARGETS: [SysReg; 15] = [
+    SysReg::ApiaKeyLoEl1,
+    SysReg::ApiaKeyHiEl1,
+    SysReg::ApibKeyLoEl1,
+    SysReg::ApibKeyHiEl1,
+    SysReg::ApdaKeyLoEl1,
+    SysReg::ApdaKeyHiEl1,
+    SysReg::ApdbKeyLoEl1,
+    SysReg::ApdbKeyHiEl1,
+    SysReg::ApgaKeyLoEl1,
+    SysReg::ApgaKeyHiEl1,
+    SysReg::SctlrEl1,
+    SysReg::ContextidrEl1,
+    SysReg::TpidrEl1,
+    SysReg::SpEl0,
+    SysReg::ElrEl1,
+];
+
+/// Pushes a constant build into `rd`: `MOVZ`/`MOVN`/`ADR`, then up to
+/// three `MOVK`s — one in eight into another register.
+fn push_constant(p: &mut Vec<Insn>, s: &mut u64, rd: Reg) {
+    let r = splitmix(s);
+    p.push(match r % 3 {
+        0 => Insn::Movz {
+            rd,
+            imm16: (r >> 8) as u16,
+            shift: (r >> 24) as u8 % 4,
+        },
+        1 => Insn::Movn {
+            rd,
+            imm16: (r >> 8) as u16,
+            shift: (r >> 24) as u8 % 4,
+        },
+        _ => Insn::Adr {
+            rd,
+            offset: ((r >> 8) % 8192) as i32 - 4096,
+        },
+    });
+    for _ in 0..(r >> 32) % 4 {
+        let k = splitmix(s);
+        p.push(Insn::Movk {
+            rd: if one_in(k, 8) { fold_reg(k >> 60) } else { rd },
+            imm16: (k >> 8) as u16,
+            shift: (k >> 24) as u8 % 4,
+        });
+    }
+}
+
+/// A destination for a fold shape: mostly a pool register, one in ten
+/// `XZR` (a constant nothing can observe).
+fn fold_dest(r: u64) -> Reg {
+    if one_in(r, 10) {
+        Reg::Xzr
+    } else {
+        fold_reg(r >> 4)
+    }
+}
+
+/// A loop of `shapes` random fold shapes, then `SUB x0, #1; CBNZ x0`.
+/// Each shape is one of: a constant; a constant + `MSR`; a modifier
+/// construction + `PAC*/AUT*` (sometimes stored); a counter update + a
+/// `CBZ/CBNZ` skipping one instruction. Aliasing variants that must stay
+/// unfused are drawn too: copy or `BFM` sources equal to rA, a `MOVK` or
+/// a modifier register naming another register, a branch on another
+/// register, and `XZR`/`SP` operands.
+fn random_fold_program(seed: u64, shapes: usize) -> Vec<Insn> {
+    let mut s = seed;
+    let mut p = Vec::new();
+    for _ in 0..shapes {
+        let r = splitmix(&mut s);
+        let ra = fold_dest(r >> 8);
+        match r % 4 {
+            0 => push_constant(&mut p, &mut s, ra),
+            1 => {
+                push_constant(&mut p, &mut s, ra);
+                let k = splitmix(&mut s);
+                p.push(Insn::Msr {
+                    sr: MSR_TARGETS[(k % MSR_TARGETS.len() as u64) as usize],
+                    rt: if one_in(k, 8) { fold_reg(k >> 8) } else { ra },
+                });
+            }
+            2 => {
+                push_constant(&mut p, &mut s, ra);
+                let k = splitmix(&mut s);
+                let mut rb = fold_dest(k >> 8);
+                if one_in(k, 2) {
+                    // The copy: usually `MOV rB, SP`, sometimes from a pool
+                    // register or rA, sometimes into SP or rA.
+                    let rs = match (k >> 16) % 4 {
+                        0 => ra,
+                        1 => fold_reg(k >> 20),
+                        _ => Reg::Sp,
+                    };
+                    if one_in(k >> 24, 8) {
+                        rb = if one_in(k >> 27, 2) { Reg::Sp } else { ra };
+                    }
+                    p.push(Insn::AddImm {
+                        rd: rb,
+                        rn: rs,
+                        imm12: if one_in(k >> 28, 8) { 8 } else { 0 },
+                        shifted: false,
+                    });
+                }
+                if rb == Reg::Sp || one_in(k >> 32, 8) {
+                    rb = ra;
+                }
+                p.push(Insn::Bfm {
+                    rd: ra,
+                    rn: rb,
+                    immr: (k >> 36) as u8 % 64,
+                    imms: (k >> 42) as u8 % 64,
+                });
+                let key = [PacKey::IA, PacKey::IB, PacKey::DA, PacKey::DB][(k >> 48) as usize % 4];
+                let rd = fold_reg(k >> 50);
+                let modifier = if one_in(k >> 54, 8) {
+                    fold_reg(k >> 57)
+                } else {
+                    ra
+                };
+                p.push(if one_in(k >> 62, 2) {
+                    Insn::Pac {
+                        key,
+                        rd,
+                        rn: modifier,
+                    }
+                } else {
+                    Insn::Aut {
+                        key,
+                        rd,
+                        rn: modifier,
+                    }
+                });
+                if (k >> 63) == 1 {
+                    p.push(Insn::Str {
+                        rt: rd,
+                        rn: Reg::x(19),
+                        mode: AddrMode::Unsigned(8 * (k % 8) as u16),
+                    });
+                }
+            }
+            _ => {
+                let k = splitmix(&mut s);
+                let rx = fold_reg(k >> 8);
+                let rn = if one_in(k, 2) { rx } else { fold_reg(k >> 12) };
+                let imm12 = (k >> 16) as u16 % 8;
+                p.push(if one_in(k >> 20, 2) {
+                    Insn::AddImm {
+                        rd: rx,
+                        rn,
+                        imm12,
+                        shifted: false,
+                    }
+                } else {
+                    Insn::SubImm {
+                        rd: rx,
+                        rn,
+                        imm12,
+                        shifted: false,
+                    }
+                });
+                let rt = match (k >> 24) % 8 {
+                    0 => fold_reg(k >> 28),
+                    1 => Reg::Xzr,
+                    _ => rx,
+                };
+                p.push(if one_in(k >> 32, 2) {
+                    Insn::Cbz { rt, offset: 8 }
+                } else {
+                    Insn::Cbnz { rt, offset: 8 }
+                });
+                p.push(imm(1 + (k >> 40) as u8 % 12, true, 1));
+            }
+        }
+    }
+    let n = p.len();
+    p.extend([
+        imm(0, false, 1),
+        loop_back(n + 1, 0),
+        Insn::Brk { imm: 0x42 },
+    ]);
+    p
+}
+
+proptest! {
+    /// Random bodies of the four fold shapes and their aliasing variants
+    /// match the caches-off step path in every register, system
+    /// register, counter and data byte.
+    #[test]
+    fn random_fold_shapes_match_the_caches_off_step_path(
+        seed in any::<u64>(),
+        shapes in 1usize..=6,
+    ) {
+        let program = random_fold_program(seed, shapes);
+        fold_arms(&program, 160, |cpu| {
+            for r in 1..=18 {
+                cpu.state.gprs[r] = seed.rotate_left(4 * r as u32) ^ (r as u64) << 40;
+            }
+            cpu.state.gprs[19] = DATA;
+        });
+    }
+}
+
+/// A single-block countdown loop: the counter update and its `CBNZ` fuse
+/// into the block's only op, which is also the loop edge's target. Each
+/// `run_block` call leaves at `TRACE_CALL_INSNS` and the next resumes at
+/// that op's VA — the `SUB`'s, not the `CBNZ`'s, or every call would
+/// retire one extra `CBNZ`.
+#[test]
+fn countdown_loop_resumes_at_the_fused_counter_after_the_call_bound() {
+    let program = [imm(0, false, 1), loop_back(1, 0), Insn::Brk { imm: 0x42 }];
+    let cpu = fold_arms(&program, 60_000, |_| {});
+    assert_eq!(cpu.stats().instructions, 2 * 60_000 + 1);
+    assert!(
+        cpu.stats().trace_hits > 10,
+        "the loop crossed the per-call bound many times: {:?}",
+        cpu.stats()
+    );
+}
+
+/// The key setter's constant + `MSR` at a loop head that the per-call
+/// bound keeps resuming: the fused op is the loop target, so it must
+/// keep the `MOVZ`'s VA.
+#[test]
+fn key_setter_loop_head_resumes_whole_after_the_call_bound() {
+    let mut program = Vec::new();
+    for (i, sr) in [SysReg::ApibKeyLoEl1, SysReg::ApibKeyHiEl1]
+        .into_iter()
+        .enumerate()
+    {
+        program.push(Insn::Movz {
+            rd: Reg::x(1),
+            imm16: 0x1111 * (i as u16 + 1),
+            shift: 0,
+        });
+        for shift in 1..4u8 {
+            program.push(Insn::Movk {
+                rd: Reg::x(1),
+                imm16: 0x0101 * u16::from(shift) + i as u16,
+                shift,
+            });
+        }
+        program.push(Insn::Msr { sr, rt: Reg::x(1) });
+    }
+    let n = program.len();
+    program.extend([
+        imm(0, false, 1),
+        loop_back(n + 1, 0),
+        Insn::Brk { imm: 0x42 },
+    ]);
+    let iters = 4 * trace::TRACE_CALL_INSNS / n as u64;
+    let cpu = fold_arms(&program, iters, |_| {});
+    assert_eq!(cpu.stats().key_writes, 2 * iters);
+    assert_eq!(
+        cpu.state.sysreg(SysReg::ApibKeyHiEl1),
+        0x0304_0203_0102_2222
+    );
+}
+
+/// The Listing 3 prologue/epilogue pair under a disabled key: the folded
+/// `PACIB`/`AUTIB` are NOPs, yet x16 and x17 still take the modifier and
+/// SP. Phases alternate the enable bit so the site memo filled while
+/// enabled is never served while disabled (and vice versa).
+#[test]
+fn folded_modifier_under_a_disabled_key_is_a_nop_that_still_writes() {
+    let modifier = |back: i32| {
+        [
+            Insn::Adr {
+                rd: Reg::IP0,
+                offset: back,
+            },
+            Insn::AddImm {
+                rd: Reg::IP1,
+                rn: Reg::Sp,
+                imm12: 0,
+                shifted: false,
+            },
+            Insn::Bfm {
+                rd: Reg::IP0,
+                rn: Reg::IP1,
+                immr: 32,
+                imms: 31,
+            },
+        ]
+    };
+    let mut program = modifier(0).to_vec();
+    program.push(Insn::Pac {
+        key: PacKey::IB,
+        rd: Reg::LR,
+        rn: Reg::IP0,
+    });
+    program.extend(modifier(-16));
+    program.push(Insn::Aut {
+        key: PacKey::IB,
+        rd: Reg::LR,
+        rn: Reg::IP0,
+    });
+    program.extend([imm(0, false, 1), loop_back(9, 0), Insn::Brk { imm: 0x42 }]);
+    let sctlr = camo_isa::sysreg::sctlr::EN_ALL;
+    let phases = [sctlr, sctlr & !camo_isa::sysreg::sctlr::EN_IB, sctlr];
+    let run = |traced: bool| {
+        let (mut cpu, mut mem) = machine(&program);
+        if !traced {
+            make_reference(&mut cpu, &mut mem);
+        }
+        let mut after = Vec::new();
+        for enables in phases {
+            cpu.state.set_sysreg(SysReg::SctlrEl1, enables);
+            cpu.state.pc = KERNEL_BASE;
+            cpu.state.gprs[0] = 100;
+            cpu.state.gprs[16] = 0;
+            cpu.state.gprs[17] = 0;
+            cpu.state.gprs[30] = KERNEL_BASE + 0x40;
+            drive(&mut cpu, &mut mem, traced);
+            after.push((cpu.stats(), cpu.state.gprs));
+        }
+        (cpu, mem, after)
+    };
+    let (cpu_t, mem_t, phases_t) = run(true);
+    let (cpu_s, mem_s, phases_s) = run(false);
+    assert_state_identical((&cpu_t, &mem_t), (&cpu_s, &mem_s));
+    for (t, s) in phases_t.iter().zip(&phases_s) {
+        assert_eq!(t.1, s.1, "registers agree after every phase");
+        assert!(t.0.arch_eq(&s.0), "counters agree after every phase");
+    }
+    let (enabled, disabled) = (&phases_t[0], &phases_t[1]);
+    assert_eq!(enabled.0.pac_signs, 100);
+    assert_eq!(
+        (disabled.0.pac_signs, disabled.0.pac_auth_ok),
+        (enabled.0.pac_signs, enabled.0.pac_auth_ok),
+        "a disabled key signs and authenticates nothing"
+    );
+    let sp = cpu_t.state.sp_el1;
+    assert_eq!(disabled.1[16], (sp << 32) | (KERNEL_BASE & 0xFFFF_FFFF));
+    assert_eq!(disabled.1[17], sp);
+    assert_eq!(disabled.1[30], KERNEL_BASE + 0x40, "LR passed through");
+    assert!(cpu_t.stats().trace_hits >= 3, "every phase ran the trace");
+}
+
+/// A trace recorded at EL1 *can* be entered at EL0: entry checks the
+/// entry `(pa, va)` pair, the page versions and the translation
+/// generation, and the EL0 fetch walk at the entry succeeds on a page
+/// executable at both levels. (The kernel's page presets never make
+/// such a page; this test maps one.) The fused key-setter op then traps
+/// at the `MSR`'s own VA with the constant already in x1 and the key
+/// register untouched, exactly like the step path.
+#[test]
+fn fused_msr_entered_at_el0_traps_at_the_msr() {
+    const DUAL: u64 = KERNEL_BASE + 4 * PAGE_SIZE;
+    let mut program = vec![Insn::Movz {
+        rd: Reg::x(1),
+        imm16: 0x1111,
+        shift: 0,
+    }];
+    for shift in 1..4u8 {
+        program.push(Insn::Movk {
+            rd: Reg::x(1),
+            imm16: 0x1111 * (u16::from(shift) + 1),
+            shift,
+        });
+    }
+    program.extend([
+        Insn::Msr {
+            sr: SysReg::ApibKeyLoEl1,
+            rt: Reg::x(1),
+        },
+        imm(0, false, 1),
+        loop_back(6, 0),
+        Insn::Brk { imm: 0x42 },
+    ]);
+    let run = |traced: bool| {
+        let (mut cpu, mut mem) = machine(&[]);
+        if !traced {
+            make_reference(&mut cpu, &mut mem);
+        }
+        let table = TableId::from_raw(cpu.state.sysreg(SysReg::Ttbr1El1));
+        let dual = mem.map_new(
+            table,
+            DUAL,
+            S1Attr {
+                el0_read: true,
+                el0_write: false,
+                el0_exec: true,
+                el1_write: false,
+                el1_exec: true,
+            },
+        );
+        for (i, insn) in program.iter().enumerate() {
+            mem.phys_mut()
+                .write_u32(dual.base() + 4 * i as u64, encode(insn))
+                .unwrap();
+        }
+        // Record and run the trace at EL1.
+        cpu.state.pc = DUAL;
+        cpu.state.gprs[0] = 100;
+        drive(&mut cpu, &mut mem, traced);
+        let warm = cpu.stats();
+        // Re-enter the loop head at EL0.
+        cpu.state.el = El::El0;
+        cpu.state.pc = DUAL;
+        cpu.state.gprs[0] = 5;
+        cpu.state.gprs[1] = 0;
+        cpu.state.set_sysreg(SysReg::ApibKeyLoEl1, 0xAAAA);
+        let step = if traced {
+            cpu.run_block(&mut mem)
+        } else {
+            (0..5)
+                .map(|_| cpu.step(&mut mem))
+                .last()
+                .expect("five steps")
+        };
+        (cpu, mem, warm, step.expect("a vectored trap"))
+    };
+    let (cpu_t, mem_t, warm, step_t) = run(true);
+    let (cpu_s, mem_s, _, step_s) = run(false);
+    assert_eq!(step_t, step_s);
+    assert!(matches!(step_t, Step::FaultTaken { .. }), "{step_t:?}");
+    assert_state_identical((&cpu_t, &mem_t), (&cpu_s, &mem_s));
+    assert_eq!(
+        cpu_t.stats().trace_hits,
+        warm.trace_hits + 1,
+        "the EL0 entry ran the trace"
+    );
+    assert_eq!(
+        cpu_t.state.sysreg(SysReg::ElrEl1),
+        DUAL + 16,
+        "ELR at the MSR"
+    );
+    assert_eq!(
+        cpu_t.state.sysreg(SysReg::EsrEl1) >> 26,
+        camo_cpu::ec::TRAPPED_MSR
+    );
+    assert_eq!(
+        cpu_t.state.gprs[1], 0x4444_3333_2222_1111,
+        "constant written"
+    );
+    assert_eq!(
+        cpu_t.state.sysreg(SysReg::ApibKeyLoEl1),
+        0xAAAA,
+        "key untouched"
+    );
 }

@@ -157,6 +157,8 @@ pub enum KernelError {
     },
     /// Operation on a dead or unknown task.
     BadTask(Tid),
+    /// [`Kernel::run_user`] named a user block the image does not have.
+    UnknownUserBlock(String),
     /// A run exceeded its step budget.
     Hung,
 }
@@ -172,6 +174,7 @@ impl core::fmt::Display for KernelError {
                 write!(f, "module rejected: {} violations", violations.len())
             }
             KernelError::BadTask(tid) => write!(f, "no live task {tid}"),
+            KernelError::UnknownUserBlock(block) => write!(f, "unknown user block {block}"),
             KernelError::Hung => write!(f, "simulation exceeded its step budget"),
         }
     }
@@ -887,17 +890,15 @@ impl Kernel {
     /// Context-switches between two live tasks by executing
     /// `cpu_switch_to` (§5.2).
     pub fn context_switch(&mut self, from: Tid, to: Tid) -> Result<ExecOutcome, KernelError> {
-        let from_idx = self.task_index(from)?;
+        // Both tasks must be live; only the destination's index is kept.
+        self.task_index(from)?;
         let to_idx = self.task_index(to)?;
         self.cpus[self.cur_cpu].state.el = El::El1;
         self.cpus[self.cur_cpu].state.sp_el1 = layout::stack_top(from) - 512;
         let f = self.symbol("cpu_switch_to");
         let out = self.kexec(
             f,
-            &[
-                self.tasks[from_idx].tid as u64 * 0 + layout::task_struct_va(from),
-                layout::task_struct_va(to),
-            ],
+            &[layout::task_struct_va(from), layout::task_struct_va(to)],
         )?;
         if out.fault.is_none() {
             self.current = to_idx;
@@ -1242,6 +1243,15 @@ impl Kernel {
         arg0: u64,
     ) -> Result<ExecOutcome, KernelError> {
         let idx = self.task_index(tid)?;
+        // Resolve the entry before touching any state, so an unknown name
+        // fails without side effects.
+        let entry = self
+            .hot
+            .user_entries
+            .iter()
+            .find(|(name, _)| name == block)
+            .map(|&(_, va)| va)
+            .ok_or_else(|| KernelError::UnknownUserBlock(block.to_string()))?;
         self.current = idx;
         // Run on the task's home CPU — migration moves the home, and with
         // it where the user keys get restored. Entering the kernel on this
@@ -1266,13 +1276,6 @@ impl Kernel {
             self.cpus[cur].state.sp_el1 = stack_top;
         }
 
-        let entry = self
-            .hot
-            .user_entries
-            .iter()
-            .find(|(name, _)| name == block)
-            .map(|&(_, va)| va)
-            .unwrap_or_else(|| panic!("unknown user block {block}"));
         self.cpus[cur].state.el = El::El0;
         self.cpus[cur].state.sp_el0 = USER_STACK_TOP - 2 * PAGE_SIZE;
         self.cpus[cur].state.pc = entry;
@@ -1647,6 +1650,24 @@ mod tests {
         let out = k.run_user(b, "stub", 2, 63, 3).unwrap();
         assert!(out.fault.is_none());
         assert_eq!(out.syscalls, 2);
+    }
+
+    #[test]
+    fn run_user_rejects_an_unknown_block_without_side_effects() {
+        let mut k = booted(ProtectionLevel::Full);
+        let a = k.spawn("a").unwrap();
+        let before = (k.cpu().stats(), k.cpu().state.pc, k.current_task().tid);
+        assert_eq!(
+            k.run_user(a, "no_such_block", 1, 172, 0),
+            Err(KernelError::UnknownUserBlock("no_such_block".to_string()))
+        );
+        assert_eq!(
+            (k.cpu().stats(), k.cpu().state.pc, k.current_task().tid),
+            before,
+            "nothing ran and nothing was switched"
+        );
+        // The task is still fine to run a real block.
+        assert!(k.run_user(a, "stub", 1, 172, 0).unwrap().fault.is_none());
     }
 
     #[test]

@@ -855,7 +855,7 @@ impl Memory {
     /// rights faults on the very next step even for cached instructions.
     #[inline]
     pub fn fetch_loc(&self, ctx: &TranslationCtx, va: u64) -> Result<u64, MemFault> {
-        if va % 4 != 0 {
+        if !va.is_multiple_of(4) {
             return Err(MemFault::FetchUnaligned { va });
         }
         self.translate(ctx, va, AccessType::Execute)

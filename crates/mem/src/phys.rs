@@ -146,9 +146,7 @@ impl PhysMem {
         let mut off = 0usize;
         while off < bytes.len() {
             let addr = pa + off as u64;
-            if self.frame(addr / PAGE_SIZE).is_none() {
-                return None;
-            }
+            self.frame(addr / PAGE_SIZE)?;
             off += (PAGE_SIZE - addr % PAGE_SIZE) as usize;
         }
         let mut off = 0usize;

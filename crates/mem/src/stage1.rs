@@ -113,7 +113,7 @@ impl Stage1Table {
     ///
     /// Panics if `va` is not page-aligned.
     pub fn map(&mut self, va: u64, frame: Frame, attr: S1Attr) {
-        assert!(va % PAGE_SIZE == 0, "mapping must be page aligned");
+        assert!(va.is_multiple_of(PAGE_SIZE), "mapping must be page aligned");
         self.entries.insert(va / PAGE_SIZE, S1Entry { frame, attr });
     }
 

@@ -86,7 +86,7 @@ impl Cells {
 
 /// Rotates a 4-bit nibble left by `r` bits (`r` in `1..=3`).
 fn rotl4(x: u8, r: u8) -> u8 {
-    debug_assert!(r >= 1 && r <= 3);
+    debug_assert!((1..=3).contains(&r));
     ((x << r) | (x >> (4 - r))) & 0xF
 }
 
